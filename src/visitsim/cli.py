@@ -27,9 +27,8 @@ from .dgm import CONFIG_SCHEMA_HELP, ScenarioConfig, parse_scenario_text, simula
 from .domain import read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
-                      run_study, summarize)
+                      fit_model, run_study, summarize)
 from .jointfit import JointFitOptions, JointParams, QuadratureRule, subject_log_contributions
-from .harness import fit_model
 
 PRESETS = (
     "gamma_psi0", "gamma_psi2", "gamma_lagy",
@@ -114,18 +113,7 @@ def _cmd_fit(args) -> int:
     if args.dump_loglik:
         if args.model != "A":
             raise ConfigError("--dump-loglik applies to model A only")
-        params = JointParams(
-            beta=result.estimate("beta"),
-            log_lambda=float(np.log(result.estimate("lambda"))),
-            log_p=float(np.log(result.estimate("p"))),
-            alpha0=result.estimate("alpha0"),
-            alpha1=result.estimate("alpha1"),
-            alpha2=result.estimate("alpha2"),
-            gamma=result.estimate("gamma"),
-            log_sigma_u=float(0.5 * np.log(result.estimate("sigma_u2"))),
-            log_sigma_v=float(0.5 * np.log(result.estimate("sigma_v2"))),
-            log_sigma_e=float(0.5 * np.log(result.estimate("sigma_e2"))),
-        )
+        params = JointParams.from_natural(dict(zip(result.param_names, result.estimates)))
         rule = QuadratureRule.gauss_hermite(args.gh_order)
         lines = ["subject_id,loglik"]
         for sid, value in subject_log_contributions(params, panel, rule,
@@ -227,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_quadrature(p):
         p.add_argument("--gh-order", type=int, default=25, help="Gauss-Hermite order (default 25)")
         p.add_argument("--nonadaptive-quadrature", action="store_true",
-                       help="place quadrature nodes on the frailty prior instead of per-subject modes")
+                       help="place quadrature nodes on the frailty prior instead of per-subject modes "
+                            "(not converged at order 25: estimates move with --gh-order)")
 
     p = sub.add_parser("simulate", help="generate one panel CSV from a scenario config",
                        epilog=CONFIG_SCHEMA_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)

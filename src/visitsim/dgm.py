@@ -145,11 +145,15 @@ def _subject_rngs(seed, n: int) -> list[np.random.Generator]:
 
     ``seed`` is either an integer or a SeedSequence (the study harness passes
     per-replication SeedSequences so that (replication, subject) indexes the
-    substream).
+    substream).  Subject i gets the child ``seed.spawn`` would give a fresh
+    sequence, built without advancing ``seed``, so reusing a SeedSequence
+    reproduces the panel.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
-    return [np.random.Generator(np.random.Philox(child)) for child in seed.spawn(n)]
+    children = (np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,), pool_size=seed.pool_size)
+                for i in range(n))
+    return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
 def _u01_open(rng: np.random.Generator) -> float:

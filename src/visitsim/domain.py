@@ -1,19 +1,22 @@
-"""Core data types: subjects, gap records, panel datasets, and fit results.
+"""Core data types: subjects, panel datasets, gap records, and fit results.
 
 A panel is a collection of subjects, each observed at irregular visit times
 starting with a mandatory baseline visit at t = 0 and administratively
-censored at a subject-specific time C.  Gap records are the renewal-scale
+censored at a subject-specific time C.  Gaps are the renewal-scale
 representation of the visit process: the waiting times between consecutive
-visits, plus one final censored gap running from the last visit to C.
+visits, plus one final censored gap running from the last visit to C.  A
+panel stacks its subjects' visits and gaps once into flat arrays that every
+estimator reads.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +65,8 @@ class Subject:
             raise ValidationError(f"subject {self.id}: needs at least the baseline visit")
         if t[0] != 0.0:
             raise ValidationError(f"subject {self.id}: first visit must be at t = 0, got {t[0]}")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError(f"subject {self.id}: visit times must be strictly increasing")
+        if not np.all(np.diff(t) > 0):
+            raise ValidationError(f"subject {self.id}: visit times must be finite and strictly increasing")
         if t[-1] >= self.censoring_time:
             raise ValidationError(
                 f"subject {self.id}: visit at t = {t[-1]} is not before censoring time {self.censoring_time}"
@@ -100,15 +103,45 @@ class GapRecord:
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """A full panel: subjects plus their derived gap records."""
+    """A full panel: the subjects plus their visits stacked into flat read-only arrays.
+
+    The arrays are attributes set at construction.  Per subject, in subject
+    order: ``ids``, ``z``, ``counts`` (visits) and ``starts`` (offset of the
+    subject's block).  Per visit row: ``t``, ``y`` and ``z_rows``.  Each
+    subject has as many gaps as visits, so ``starts`` indexes the per-gap
+    arrays ``gaps`` and ``observed`` too: row r's gap starts at visit r, and
+    the last row of each block holds the censored gap from the last visit to
+    the censoring time.
+    """
 
     subjects: tuple[Subject, ...]
-    gap_records: tuple[GapRecord, ...]
     scenario_tag: str = ""
 
     def __post_init__(self):
-        if len(self.subjects) == 0:
+        subjects = tuple(self.subjects)
+        if len(subjects) == 0:
             raise ValidationError("panel must contain at least one subject")
+        ids = np.array([s.id for s in subjects], dtype=np.intp)
+        unique, seen = np.unique(ids, return_counts=True)
+        if np.any(seen > 1):
+            raise ValidationError(f"subject id {int(unique[seen > 1][0])} appears more than once")
+        counts = np.array([s.n_visits for s in subjects], dtype=np.intp)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        z = np.array([float(s.z) for s in subjects])
+        t = np.concatenate([s.visit_times for s in subjects])
+        last = starts + counts - 1
+        gaps = np.empty_like(t)
+        gaps[:-1] = np.diff(t)
+        gaps[last] = np.array([s.censoring_time for s in subjects]) - t[last]
+        observed = np.ones(len(t), dtype=bool)
+        observed[last] = False
+        arrays = dict(ids=ids, z=z, counts=counts, starts=starts, t=t,
+                      y=np.concatenate([s.outcomes for s in subjects]),
+                      z_rows=np.repeat(z, counts), gaps=gaps, observed=observed)
+        object.__setattr__(self, "subjects", subjects)
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_subjects(self) -> int:
@@ -116,44 +149,26 @@ class PanelDataset:
 
     @property
     def n_rows(self) -> int:
-        return sum(s.n_visits for s in self.subjects)
+        return len(self.t)
+
+    @functools.cached_property
+    def gap_records(self) -> tuple[GapRecord, ...]:
+        """The gaps as one validated record per gap, built on first access."""
+        index = np.arange(1, self.n_rows + 1) - np.repeat(self.starts, self.counts)
+        return tuple(GapRecord(int(sid), int(j), float(g), bool(obs), (float(z),))
+                     for sid, j, g, obs, z in zip(np.repeat(self.ids, self.counts), index,
+                                                  self.gaps, self.observed, self.z_rows))
 
 
 def build_panel(subjects, scenario_tag: str = "") -> PanelDataset:
-    """Assemble a panel, deriving gap records from visit and censoring times.
+    """Assemble a panel from validated subjects, stacking them into flat arrays.
 
     Each subject contributes one observed gap per post-baseline visit
     (successive differences of visit times) and exactly one censored gap
-    from the last visit to the censoring time.  Deterministic and
-    order-preserving in the subjects.
+    from the last visit to the censoring time.  Subject ids must be unique.
+    Deterministic and order-preserving in the subjects.
     """
-    subjects = tuple(subjects)
-    records = []
-    for s in subjects:
-        cov = (float(s.z),)
-        times = s.visit_times
-        gaps = np.diff(times)
-        j = 0
-        for j, g in enumerate(gaps, start=1):
-            records.append(GapRecord(s.id, j, float(g), True, cov))
-        records.append(GapRecord(s.id, j + 1, float(s.censoring_time - times[-1]), False, cov))
-    return PanelDataset(subjects, tuple(records), scenario_tag)
-
-
-def panel_row_arrays(panel: PanelDataset):
-    """Stack a panel into flat per-row arrays used by the fitting routines.
-
-    Returns a dict with ``y``, ``t``, ``z`` (one entry per visit row),
-    ``subject_ids``, ``counts`` (visits per subject) and ``starts`` (row
-    offset of each subject's block).
-    """
-    counts = np.array([s.n_visits for s in panel.subjects], dtype=np.intp)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    y = np.concatenate([s.outcomes for s in panel.subjects])
-    t = np.concatenate([s.visit_times for s in panel.subjects])
-    z = np.repeat([float(s.z) for s in panel.subjects], counts)
-    subject_ids = np.array([s.id for s in panel.subjects], dtype=np.intp)
-    return {"y": y, "t": t, "z": z, "subject_ids": subject_ids, "counts": counts, "starts": starts}
+    return PanelDataset(tuple(subjects), scenario_tag)
 
 
 def write_atomic(path, data: str) -> None:
@@ -185,7 +200,7 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 
 
 def read_panel_csv(path, scenario_tag: str = "") -> PanelDataset:
-    """Read a long-format panel CSV back into a PanelDataset (gap records rebuilt)."""
+    """Read a long-format panel CSV back into a PanelDataset."""
     by_subject: dict[int, dict] = {}
     order: list[int] = []
     with open(path, newline="") as fh:

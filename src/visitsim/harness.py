@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
+from . import iivw, jointfit
 from .dgm import ScenarioConfig, simulate_panel
 from .domain import FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import JointFitOptions, fit_joint
 from .lmm import Adjustment, LmmSpec, fit_lmm
-from .survfit import fit_andersen_gill
+from .survfit import _CoxData, fit_andersen_gill
 
 ESTIMATES_CSV_COLUMNS = ("scenario", "rep", "model", "param", "est", "se", "converged")
 PERFORMANCE_CSV_COLUMNS = ("scenario", "model", "param", "truth", "mean_est", "bias", "bias_mcse",
@@ -37,11 +38,9 @@ _LMM_SPECS = {
 }
 
 _MODEL_PARAMS = {
-    "A": ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2", "gamma", "sigma_u2", "sigma_v2", "sigma_e2"),
-    "B": ("alpha0", "alpha1", "alpha2", "alpha3", "sigma_v2", "sigma_e2"),
-    "C": ("alpha0", "alpha1", "alpha2", "alpha3", "sigma_v2", "sigma_e2"),
-    "D": ("alpha0", "alpha1", "alpha2", "sigma_v2", "sigma_e2"),
-    "E": ("alpha0", "alpha1", "alpha2"),
+    "A": jointfit.PARAM_NAMES,
+    **{label: spec.param_names for label, spec in _LMM_SPECS.items()},
+    "E": iivw.PARAM_NAMES,
 }
 
 
@@ -338,8 +337,8 @@ def describe_datasets(scenario: ScenarioConfig, reps: int, seed: int | None = No
     for k in range(1, reps + 1):
         panel = simulate_panel(scenario, np.random.SeedSequence(master, spawn_key=(k,)))
         rows.append(panel.n_rows)
-        counts.extend(s.n_visits for s in panel.subjects)
-        gaps.extend(g.gap for g in panel.gap_records if g.observed)
+        counts.extend(panel.counts)
+        gaps.extend(panel.gaps[panel.observed])
     rows_q = np.percentile(rows, [25, 50, 75])
     counts_q = np.percentile(counts, [25, 50, 75])
     gaps_q = (np.percentile(gaps, [25, 50, 75]) if gaps else np.array([np.nan] * 3))
@@ -393,16 +392,15 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
         if covariate != "z":
             raise ValidationError(f"unknown covariate {covariate!r}; panels carry 'z'")
         name = covariate
-        values = {s.id: float(s.z) for s in panel.subjects}
+        values = panel.z
     else:
         name = "custom"
-        values = {s.id: float(covariate[s.id]) for s in panel.subjects}
-    obs = [(g.gap, values[g.subject_id], g.subject_id) for g in panel.gap_records if g.observed]
-    if not obs:
+        values = np.array([float(covariate[int(sid)]) for sid in panel.ids])
+    if not np.any(panel.observed):
         raise EstimationError("no observed gaps")
-    gaps = np.array([o[0] for o in obs])
-    covs = np.array([o[1] for o in obs])
-    subj = np.array([o[2] for o in obs])
+    gaps = panel.gaps[panel.observed]
+    covs = np.repeat(values, panel.counts)[panel.observed]
+    subj = np.repeat(panel.ids, panel.counts)[panel.observed]
 
     if np.all(covs == covs[0]):
         return InformativenessDiagnostics(name, False, len(gaps), float("nan"), float("nan"),
@@ -410,8 +408,8 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
 
     rho = float(scipy.stats.spearmanr(gaps, covs).statistic)
     rng = np.random.default_rng(seed)
-    ids = np.array(sorted(values))
-    vals = np.array([values[i] for i in ids])
+    order = np.argsort(panel.ids)
+    ids, vals = panel.ids[order], values[order]
     idx = np.searchsorted(ids, subj)
     hits = 0
     for _ in range(n_permutations):
@@ -421,12 +419,7 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
             hits += 1
     pvalue = (hits + 1.0) / (n_permutations + 1.0)
 
-    from .survfit import _CoxData
-
-    recs = panel.gap_records
-    data = _CoxData([g.gap for g in recs], [g.observed for g in recs],
-                    [[values[g.subject_id]] for g in recs], [g.subject_id for g in recs])
-    ag = fit_andersen_gill(data)
+    ag = fit_andersen_gill(_CoxData.from_panel(panel, values))
     if ag.converged:
         se = float(ag.se_robust[0])
         hr = float(np.exp(ag.eta[0]))

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, PanelDataset, panel_row_arrays, write_atomic
+from .domain import FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
-from .survfit import CoxFit
+from .survfit import CoxFit, _CoxData, fit_andersen_gill
+
+PARAM_NAMES = ("alpha0", "alpha1", "alpha2")
 
 WEIGHT_CSV_COLUMNS = ("subject_id", "visit_index", "weight")
 
@@ -82,8 +84,7 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
     Point estimates solve the weighted normal equations; standard errors are
     cluster-robust, clustered on subject.
     """
-    rows = panel_row_arrays(panel)
-    w = np.empty(len(rows["y"]))
+    w = np.empty(panel.n_rows)
     pos = 0
     for s in panel.subjects:
         for j in range(s.n_visits):
@@ -93,8 +94,8 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
             w[pos] = weights.weights[key]
             pos += 1
 
-    X = np.column_stack([np.ones_like(rows["y"]), rows["z"], rows["t"]])
-    y = rows["y"]
+    X = np.column_stack([np.ones_like(panel.y), panel.z_rows, panel.t])
+    y = panel.y
     XtW = X.T * w
     bread = XtW @ X
     try:
@@ -105,7 +106,7 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
 
     resid = y - X @ alpha
     meat = np.zeros((3, 3))
-    for start, n in zip(rows["starts"], rows["counts"]):
+    for start, n in zip(panel.starts, panel.counts):
         sl = slice(start, start + n)
         g = X[sl].T @ (w[sl] * resid[sl])
         meat += np.outer(g, g)
@@ -114,7 +115,7 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
 
     return FitResult(
         model_label="E",
-        param_names=("alpha0", "alpha1", "alpha2"),
+        param_names=PARAM_NAMES,
         estimates=alpha,
         std_errors=ses,
         loglik=None,
@@ -123,15 +124,17 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
     )
 
 
-def fit_iivw(panel: PanelDataset, robust: str = "jackknife") -> FitResult:
-    """Two-stage model E: Andersen-Gill weight model, then weighted GEE."""
-    from .survfit import fit_andersen_gill
+def fit_iivw(panel: PanelDataset) -> FitResult:
+    """Two-stage model E: Andersen-Gill weight model, then weighted GEE.
 
-    coxfit = fit_andersen_gill(panel.gap_records, robust=robust)
+    Only the weight model's coefficients are used, so it is fitted with the
+    cheap sandwich robust covariance rather than the jackknife.
+    """
+    coxfit = fit_andersen_gill(_CoxData.from_panel(panel), robust="sandwich")
     if not coxfit.converged:
         return FitResult(
             model_label="E",
-            param_names=("alpha0", "alpha1", "alpha2"),
+            param_names=PARAM_NAMES,
             estimates=np.full(3, np.nan),
             std_errors=np.full(3, np.nan),
             loglik=None,

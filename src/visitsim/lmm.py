@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .domain import FitResult, PanelDataset, panel_row_arrays
+from .domain import FitResult, PanelDataset
 from .errors import EstimationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -55,29 +55,25 @@ class LmmSpec:
 
 def design_matrix(panel: PanelDataset, spec: LmmSpec) -> np.ndarray:
     """Fixed-effects design: intercept, treatment, time, plus the count column."""
-    rows = panel_row_arrays(panel)
-    cols = [np.ones_like(rows["y"]), rows["z"], rows["t"]]
+    cols = [np.ones_like(panel.y), panel.z_rows, panel.t]
     if spec.adjustment is Adjustment.TOTAL_COUNT_CENTERED:
-        counts = rows["counts"].astype(float)
-        cols.append(np.repeat(counts - counts.mean(), rows["counts"]))
+        counts = panel.counts.astype(float)
+        cols.append(np.repeat(counts - counts.mean(), panel.counts))
     elif spec.adjustment is Adjustment.CUMULATIVE_COUNT:
         # running 1-based count of visits with time <= current visit time
-        cum = np.concatenate([np.arange(1, n + 1, dtype=float) for n in rows["counts"]])
-        cols.append(cum)
+        cols.append(np.arange(1.0, panel.n_rows + 1.0) - np.repeat(panel.starts, panel.counts))
     return np.column_stack(cols)
 
 
 class _LmmData:
-    """Flattened panel plus per-subject offsets reused across evaluations."""
+    """Outcomes, fixed-effects design and per-subject offsets reused across evaluations."""
 
     def __init__(self, panel: PanelDataset, spec: LmmSpec):
-        rows = panel_row_arrays(panel)
-        self.y = rows["y"]
+        self.y = panel.y
         self.X = design_matrix(panel, spec)
-        self.counts = rows["counts"].astype(float)
-        self.starts = rows["starts"]
-        self.n_rows = len(self.y)
-        self.n_subjects = len(self.counts)
+        self.counts = panel.counts
+        self.starts = panel.starts
+        self.n_rows = panel.n_rows
 
     def group_sum(self, values: np.ndarray) -> np.ndarray:
         return np.add.reduceat(values, self.starts)
@@ -129,7 +125,7 @@ def _negloglik_and_grad(theta: np.ndarray, data: _LmmData):
     loglik = -0.5 * (data.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad))
 
     # d/dalpha: X' Sigma^{-1} r, with Sigma^{-1} r = r/sigma_e2 - (sigma_v2 s / (sigma_e2 a)) 1
-    w = np.repeat(sigma_v2 * s / a, data.counts.astype(np.intp))
+    w = np.repeat(sigma_v2 * s / a, data.counts)
     g_alpha = data.X.T @ ((r - w) / sigma_e2)
 
     # d/dsigma_v2 = 0.5 * [ (1'Sigma^{-1} r)^2 - tr(Sigma^{-1} J) ] per subject
@@ -160,8 +156,12 @@ def _observed_information(fun_grad, theta: np.ndarray) -> np.ndarray:
     return 0.5 * (info + info.T)
 
 
-def _se_from_information(info: np.ndarray):
-    """Standard errors from an observed information matrix, or None if not PD."""
+def _se_from_information(info: np.ndarray, jacobian: np.ndarray):
+    """Delta-method standard errors from an observed information matrix, or None if not PD.
+
+    ``jacobian`` holds the derivative of each reported parameter with respect
+    to the optimised one it is a function of.
+    """
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -169,7 +169,7 @@ def _se_from_information(info: np.ndarray):
     d = np.diag(cov)
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         return None
-    return np.sqrt(d)
+    return np.sqrt(d) * jacobian
 
 
 def _starting_values(data: _LmmData) -> np.ndarray:
@@ -205,12 +205,17 @@ def _standardize(X: np.ndarray):
     return Xs, to_original, k
 
 
-def _newton_polish(fun_grad, theta: np.ndarray, max_steps: int = 10):
-    """Drive the gradient to ~0 from an almost-converged point; returns (theta, f, g, info)."""
-    f, g = fun_grad(theta)
+def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
+                   gtol: float, max_steps: int, step_tol: float):
+    """Drive the gradient to ~0 from an almost-converged point with value ``f`` and gradient ``g``.
+
+    Newton steps on the observed information, halved until ``f`` does not
+    rise.  Returns (theta, f, g, info), with ``info`` the observed
+    information at the returned ``theta``.
+    """
     info = None
     for _ in range(max_steps):
-        if np.max(np.abs(g)) < GRAD_TOL:
+        if np.max(np.abs(g)) < gtol:
             break
         info = _observed_information(fun_grad, theta)
         try:
@@ -227,7 +232,7 @@ def _newton_polish(fun_grad, theta: np.ndarray, max_steps: int = 10):
             scale *= 0.5
         else:
             break
-        if np.max(np.abs(scale * step)) < PARAM_TOL:
+        if np.max(np.abs(scale * step)) < step_tol:
             break
         info = None
     if info is None:
@@ -266,7 +271,7 @@ def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
         options={"gtol": GRAD_TOL, "maxiter": MAX_ITER},
     )
     fun_grad_s = lambda t: _negloglik_and_grad(t, data_s)  # noqa: E731
-    theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x)
+    theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x, res.fun, res.jac, GRAD_TOL, 10, PARAM_TOL)
     converged = bool(np.max(np.abs(grad)) < 1e-4)
 
     theta = np.concatenate([to_original(theta_s[:k]), theta_s[k:]])
@@ -274,23 +279,18 @@ def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
     sigma_e2 = float(np.exp(2.0 * theta[k + 1]))
     estimates = np.concatenate([theta[:k], [sigma_v2, sigma_e2]])
 
-    ses = np.full(len(names), np.nan)
+    ses = None
     if converged:
         info = _observed_information(lambda t: _negloglik_and_grad(t, data), theta)
-        raw = _se_from_information(info)
-        if raw is None:
-            converged = False
-        else:
-            # delta method for the variance components: sigma^2 = exp(2 theta)
-            ses = np.concatenate([raw[:k], [2.0 * sigma_v2 * raw[k], 2.0 * sigma_e2 * raw[k + 1]]])
-    if not converged:
-        ses = np.full(len(names), np.nan)
+        # variance components are reported as sigma^2 = exp(2 theta)
+        ses = _se_from_information(info, np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
+    converged = ses is not None
 
     return FitResult(
         model_label=spec.model_label,
         param_names=names,
         estimates=estimates,
-        std_errors=ses,
+        std_errors=ses if converged else np.full(len(names), np.nan),
         loglik=float(-fval),
         converged=converged,
         iterations=int(res.nit),

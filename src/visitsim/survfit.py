@@ -84,18 +84,17 @@ class _CoxData:
             [r.subject_id for r in recs],
         )
 
+    @classmethod
+    def from_panel(cls, panel, covariate=None):
+        """A panel's gaps, with one covariate value per subject (default: z)."""
+        values = panel.z if covariate is None else np.asarray(covariate, dtype=float)
+        return cls(panel.gaps, panel.observed, np.repeat(values, panel.counts),
+                   np.repeat(panel.ids, panel.counts))
+
     def drop_subject(self, subject) -> "_CoxData":
+        # the masked arrays stay sorted, so the constructor's stable sort keeps their order
         keep = self.subjects != subject
-        out = _CoxData.__new__(_CoxData)
-        out.gaps = self.gaps[keep]
-        out.events = self.events[keep]
-        out.Z = self.Z[keep]
-        out.subjects = self.subjects[keep]
-        out.n, out.d = out.Z.shape
-        out.risk_end = np.searchsorted(-out.gaps, -out.gaps, side="right") - 1
-        out.event_idx = np.nonzero(out.events)[0]
-        out.n_events = len(out.event_idx)
-        return out
+        return _CoxData(self.gaps[keep], self.events[keep], self.Z[keep], self.subjects[keep])
 
 
 def _loglik_grad_hess(data: _CoxData, eta: np.ndarray):

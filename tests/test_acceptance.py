@@ -16,7 +16,7 @@ import scipy.stats
 
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, draw_weibull_gap, parse_scenario_text, simulate_panel
-from visitsim.domain import Subject, build_panel, panel_row_arrays
+from visitsim.domain import Subject, build_panel
 from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, run_study,
                               summarize)
 from visitsim.iivw import WeightTable, fit_wgee
@@ -319,9 +319,10 @@ class TestCriterion7OracleEquivalences:
         # (d) unit-weight GEE vs ordinary least squares
         unit = WeightTable({(s.id, j): 1.0 for s in rng_panel.subjects for j in range(s.n_visits)})
         gee = fit_wgee(rng_panel, unit)
-        rows = panel_row_arrays(rng_panel)
-        X = np.column_stack([np.ones_like(rows["y"]), rows["z"], rows["t"]])
-        ols = np.linalg.solve(X.T @ X, X.T @ rows["y"])
+        y = np.concatenate([s.outcomes for s in rng_panel.subjects])
+        X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
+                       for s in rng_panel.subjects])
+        ols = np.linalg.solve(X.T @ X, X.T @ y)
         if np.max(np.abs(gee.estimates - ols)) >= 1e-10:
             failures.append(f"unit-weight GEE vs OLS: max|diff|={np.max(np.abs(gee.estimates - ols)):.2e}")
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from visitsim.dgm import (Family, ScenarioConfig, draw_weibull_gap, parse_scenario_text,
-                          simulate_gamma_process, simulate_joint_model, simulate_panel,
-                          weibull_gap_cdf)
+from visitsim.dgm import (Family, ScenarioConfig, _subject_rngs, draw_weibull_gap,
+                          parse_scenario_text, simulate_gamma_process, simulate_joint_model,
+                          simulate_panel, weibull_gap_cdf)
 from visitsim.errors import ConfigError
 
 
@@ -203,6 +203,22 @@ class TestSimulateGammaProcess:
     def test_family_guard(self):
         with pytest.raises(ConfigError):
             simulate_gamma_process(ScenarioConfig(family="joint_model"), 1)
+
+
+class TestSeedSequences:
+    def test_reused_seed_sequence_gives_the_same_panel(self):
+        cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=5)
+        seed = np.random.SeedSequence(8)
+        first, second = simulate_panel(cfg, seed), simulate_panel(cfg, seed)
+        np.testing.assert_array_equal(first.t, second.t)
+        np.testing.assert_array_equal(first.y, second.y)
+
+    def test_subject_streams_equal_spawn_of_a_fresh_sequence(self):
+        # the study harness's per-replication substreams are unchanged by not spawning
+        ours = [rng.random(4) for rng in _subject_rngs(np.random.SeedSequence(8, spawn_key=(3,)), 6)]
+        spawned = [np.random.Generator(np.random.Philox(child)).random(4)
+                   for child in np.random.SeedSequence(8, spawn_key=(3,)).spawn(6)]
+        np.testing.assert_array_equal(ours, spawned)
 
 
 class TestDispatch:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from visitsim.domain import (FitResult, PanelDataset, Subject, build_panel, panel_row_arrays,
-                             read_panel_csv, write_panel_csv)
+from visitsim.domain import (FitResult, PanelDataset, Subject, build_panel, read_panel_csv,
+                             write_panel_csv)
 from visitsim.errors import ValidationError
 
 
@@ -25,6 +25,10 @@ class TestSubject:
     def test_non_monotone(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             make_subject(times=(0.0, 2.0, 2.0))
+
+    def test_non_finite_visit_time(self):
+        with pytest.raises(ValidationError, match="finite"):
+            make_subject(times=(0.0, np.nan))
 
     def test_visit_at_censoring(self):
         with pytest.raises(ValidationError, match="censoring"):
@@ -81,7 +85,13 @@ class TestBuildPanel:
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValidationError):
-            PanelDataset(tuple(), tuple())
+            PanelDataset(tuple())
+
+    def test_duplicate_subject_id_rejected(self):
+        subjects = [make_subject(sid=1, z=0), make_subject(sid=2), make_subject(sid=1, z=1),
+                    make_subject(sid=3)]
+        with pytest.raises(ValidationError, match="subject id 1 appears more than once"):
+            build_panel(subjects)
 
 
 class TestPanelCsv:
@@ -122,11 +132,21 @@ class TestPanelCsv:
 
 class TestRowArrays:
     def test_shapes_and_starts(self):
-        panel = build_panel([make_subject(sid=1), make_subject(sid=2, times=(0.0,))])
-        rows = panel_row_arrays(panel)
-        assert list(rows["counts"]) == [3, 1]
-        assert list(rows["starts"]) == [0, 3]
-        assert len(rows["y"]) == 4
+        # subject 7: z = 1, visits {0, 1.5, 3.0}, C = 5; subject 2: z = 0, visit {0}, C = 4
+        panel = build_panel([make_subject(sid=7, z=1, ys=np.array([0.1, 0.2, 0.3])),
+                             make_subject(sid=2, c=4.0, times=(0.0,), ys=np.array([0.4]))])
+        assert list(panel.ids) == [7, 2]
+        assert list(panel.z) == [1.0, 0.0]
+        assert list(panel.counts) == [3, 1]
+        assert list(panel.starts) == [0, 3]
+        assert panel.n_rows == 4
+        assert list(panel.t) == [0.0, 1.5, 3.0, 0.0]
+        assert list(panel.y) == [0.1, 0.2, 0.3, 0.4]
+        assert list(panel.z_rows) == [1.0, 1.0, 1.0, 0.0]
+        # gaps 1.5 and 1.5 observed, 2.0 censored; subject 2's only gap is censored at 4.0
+        assert list(panel.gaps) == [1.5, 1.5, 2.0, 4.0]
+        assert list(panel.observed) == [True, True, False, False]
+        assert not panel.gaps.flags.writeable
 
 
 class TestFitResult:

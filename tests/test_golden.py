@@ -1,0 +1,72 @@
+"""Golden outputs: SHA-256 digests of the simulated panel CSV and of a
+3-replication study's estimates.csv for every shipped preset, each at the
+preset's own seed.
+
+A refactor that is meant to leave the numbers alone must leave these
+digests alone.  A change that moves results on purpose updates the table
+and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from visitsim import cli
+
+PANEL_SHA256 = {
+    "gamma_psi0": "17c56854cad6039f32a5abf3e4ce712c1896ec9ff32963be26e6c5c7522e5829",
+    "gamma_psi2": "2466f15d5051c0d19bf5f3336dc2c39b550dc25f6a29206024f4714cd2bd2b4e",
+    "gamma_lagy": "99c81cf832cb7df105bd7d75f6f321775ef558da64c0bcc54b737e70c808e02b",
+    "jm_g0_l010": "7869387ca1a5e60eb04929028dda2daff1a7b3dcbb8f41c4a39ed3a2d358e7e3",
+    "jm_g0_l030": "e538e016568cc8db75537551ee009ebb3e03c26ce7ec9bc634efbe04f026e302",
+    "jm_g0_l100": "9f98abc7f7c4262d282e5929bea7d70854f9a2c6191cc992de61f26b242fa262",
+    "jm_g15_l010": "11956d0c29d0ff1fe952836fb457dafd1d21ac91a6600a9ecc5422a818b518a4",
+    "jm_g15_l030": "9991ee2b24a4cd62438e22a46d3a326819b216a77a8e273a4dfd5eeb2ce4f9b9",
+    "jm_g15_l100": "450fa16906633e7e34070929df4c16352514709151789751a3c91d6404b93b40",
+    "jm_g30_l005_regular": "4a8ff4b45b35ebe915b9b8bf5ca5389bd9482ffc7477a26835f6dc48560e99df",
+}
+
+ESTIMATES_SHA256 = {
+    "gamma_psi0": "51745edc626379b9285720142c6b638065c54cdf648d1200c81d58f750af4436",
+    "gamma_psi2": "955a01ec50eb9eaca597faecb2b4a4b65ac87d85126f16e9c63f36d8c4959431",
+    "gamma_lagy": "fcaaef5bd898dbee6169c66cc0e0ebbb2dec2c5c3b311598fe72f636c879b442",
+    "jm_g0_l010": "530c2f62d2587541fc4cf57e389671b6eced3afeb827be47d595ecdd5e144965",
+    "jm_g0_l030": "d71b8ccbc07a518d9d5a4282051b5dfa5d2280117478f5e733b06cd7ead5ceca",
+    "jm_g0_l100": "fb13e0c95fad56f31cc6ad94f8cab1d856e602a7959ae933f33b96a518f1d8a0",
+    "jm_g15_l010": "f608073fa0d33843b5c8c71102e368e8e6e264a5bba54016b923413e0f387883",
+    "jm_g15_l030": "28181de06914ec0dd0ab4f543fcb0859c1abe9593f3383ce8945d2fc62dd369c",
+    "jm_g15_l100": "9c3df0645afeb35e76a8f6812fb525b247f004ef3e94cdc55ffa884da37aaa49",
+    "jm_g30_l005_regular": "08cb562de279e1c6f1b15608fae5c4a54e961a36448aa74e6e69509a1f825291",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def panel_digest(preset: str, tmp_path) -> str:
+    out = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--config", preset, "--out", str(out)]) == cli.EXIT_OK
+    return _sha256(out)
+
+
+def estimates_digest(preset: str, tmp_path) -> str:
+    argv = ["run-study", "--config", preset, "--reps", "3", "--threads", "1",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    return _sha256(tmp_path / "estimates.csv")
+
+
+@pytest.fixture(autouse=True)
+def _preset_seed(monkeypatch):
+    monkeypatch.delenv("VISITSIM_SEED", raising=False)
+
+
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_panel_csv(preset, tmp_path):
+    assert panel_digest(preset, tmp_path) == PANEL_SHA256[preset]
+
+
+@pytest.mark.parametrize("preset", cli.PRESETS)
+def test_study_estimates_csv(preset, tmp_path):
+    assert estimates_digest(preset, tmp_path) == ESTIMATES_SHA256[preset]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from visitsim.dgm import ScenarioConfig, simulate_panel
-from visitsim.domain import Subject, build_panel, panel_row_arrays
+from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.iivw import WeightTable, compute_iiv_weights, fit_iivw, fit_wgee
 from visitsim.survfit import CoxFit, fit_andersen_gill
@@ -81,9 +81,10 @@ class TestWgee:
         panel = simulate_panel(cfg, 5)
         unit = WeightTable({(s.id, j): 1.0 for s in panel.subjects for j in range(s.n_visits)})
         fit = fit_wgee(panel, unit)
-        rows = panel_row_arrays(panel)
-        X = np.column_stack([np.ones_like(rows["y"]), rows["z"], rows["t"]])
-        ols = np.linalg.solve(X.T @ X, X.T @ rows["y"])
+        y = np.concatenate([s.outcomes for s in panel.subjects])
+        X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
+                       for s in panel.subjects])
+        ols = np.linalg.solve(X.T @ X, X.T @ y)
         np.testing.assert_allclose(fit.estimates, ols, atol=1e-10)
         assert fit.loglik is None
         assert fit.model_label == "E"

@@ -26,26 +26,24 @@ def mc_oracle(params: JointParams, panel, ndraws=10**6, seed=123):
     (beta, log_lam, log_p, a0, a1, a2, gamma, log_su, log_sv, log_se) = theta
     lam, p = np.exp(log_lam), np.exp(log_p)
     su2, sv2, se2 = np.exp(2 * log_su), np.exp(2 * log_sv), np.exp(2 * log_se)
-    data = _JointData(panel)
     rng = np.random.default_rng(seed)
     u = rng.normal(0.0, np.sqrt(su2), ndraws)
-    tp = data.gaps**p
-    T_p = np.add.reduceat(tp, data.gap_starts)
-    lam_eff = lam * np.exp(beta * data.z) * T_p
-    r0 = data.y - (a0 + a1 * np.repeat(data.z, data.n.astype(int)) + a2 * data.t)
-    s = np.add.reduceat(r0, data.row_starts)
-    q = np.add.reduceat(r0 * r0, data.row_starts)
-    a = se2 + data.n * sv2
-    Q0 = (q - sv2 * s * s / a) / se2
-    E = data.events
-    b = E + gamma * s / a
-    w = gamma * gamma * data.n / a
-    c = (E * (log_lam + log_p + beta * data.z) + (p - 1.0) * data.sum_d_logt
-         - 0.5 * (data.n * np.log(2 * np.pi) + (data.n - 1) * np.log(se2) + np.log(a) + Q0))
     total, var_total = 0.0, 0.0
     eu = np.exp(u)
-    for i in range(data.n_subjects):
-        lf = c[i] + b[i] * u - lam_eff[i] * eu - 0.5 * w[i] * u * u
+    for subj in panel.subjects:
+        t, n, E = subj.visit_times, subj.n_visits, subj.n_visits - 1.0
+        observed_gaps = np.diff(t)
+        gaps = np.append(observed_gaps, subj.censoring_time - t[-1])
+        lam_eff = lam * np.exp(beta * subj.z) * np.sum(gaps**p)
+        r0 = subj.outcomes - (a0 + a1 * subj.z + a2 * t)
+        s, q = np.sum(r0), np.sum(r0 * r0)
+        a = se2 + n * sv2
+        Q0 = (q - sv2 * s * s / a) / se2
+        b = E + gamma * s / a
+        w = gamma * gamma * n / a
+        c = (E * (log_lam + log_p + beta * subj.z) + (p - 1.0) * np.sum(np.log(observed_gaps))
+             - 0.5 * (n * np.log(2 * np.pi) + (n - 1) * np.log(se2) + np.log(a) + Q0))
+        lf = c + b * u - lam_eff * eu - 0.5 * w * u * u
         m = lf.max()
         vals = np.exp(lf - m)
         mean = vals.mean()

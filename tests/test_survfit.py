@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from visitsim.dgm import ScenarioConfig, simulate_panel
-from visitsim.domain import GapRecord
+from visitsim.domain import GapRecord, build_panel
 from visitsim.errors import EstimationError
 from visitsim.survfit import (_CoxData, _score_residuals, cox_partial_loglik, fit_andersen_gill,
                               fit_weibull_ph)
@@ -143,6 +143,21 @@ class TestRobustVariance:
         sand = fit_andersen_gill(records, robust="sandwich").cov_robust[0, 0]
         jack = fit_andersen_gill(records, robust="jackknife").cov_robust[0, 0]
         assert sand == pytest.approx(jack, rel=0.35)
+
+
+class TestFromPanel:
+    def test_matches_gap_records(self):
+        panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40), 12)
+        ours, recs = _CoxData.from_panel(panel), _CoxData.from_records(panel.gap_records)
+        for name in ("gaps", "events", "Z", "subjects", "risk_end", "event_idx"):
+            np.testing.assert_array_equal(getattr(ours, name), getattr(recs, name))
+
+    def test_drop_subject_equals_panel_without_it(self):
+        panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40), 13)
+        dropped = _CoxData.from_panel(panel).drop_subject(panel.ids[5])
+        rebuilt = _CoxData.from_panel(build_panel(s for s in panel.subjects if s.id != panel.ids[5]))
+        for name in ("gaps", "events", "Z", "subjects", "risk_end", "event_idx"):
+            np.testing.assert_array_equal(getattr(dropped, name), getattr(rebuilt, name))
 
 
 class TestOnSimulatedPanels:
