@@ -11,7 +11,7 @@ from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (DatasetDescription, EstimatesTable, InformativenessDiagnostics,
                       PerformanceTable, StudyConfig, describe_datasets,
                       diagnose_informativeness, fit_model, run_study, summarize)
-from .iivw import WeightTable, compute_iiv_weights, fit_iivw, fit_wgee
+from .iivw import compute_iiv_weights, fit_iivw, fit_wgee
 from .jointfit import (JointFitOptions, JointParams, QuadratureRule, fit_joint,
                        joint_loglik, recurrent_frailty_loglik)
 from .lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
@@ -23,7 +23,7 @@ __all__ = [
     "EstimationError", "Family", "FitResult", "GapRecord", "InformativenessDiagnostics",
     "JointFitOptions", "JointParams", "LmmSpec", "PanelDataset", "PerformanceTable",
     "QuadratureRule", "ScenarioConfig", "StudyConfig", "Subject", "ValidationError",
-    "VisitsimError", "WeightTable", "build_panel", "compute_iiv_weights", "cox_partial_loglik",
+    "VisitsimError", "build_panel", "compute_iiv_weights", "cox_partial_loglik",
     "describe_datasets", "diagnose_informativeness", "draw_weibull_gap", "fit_andersen_gill",
     "fit_iivw", "fit_joint", "fit_lmm", "fit_model", "fit_weibull_ph", "fit_wgee",
     "joint_loglik", "lmm_loglik", "parse_scenario_config", "read_panel_csv",

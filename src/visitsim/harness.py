@@ -24,7 +24,7 @@ from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import JointFitOptions, fit_joint
 from .lmm import Adjustment, LmmSpec, fit_lmm
-from .survfit import _CoxData, fit_andersen_gill
+from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
 ESTIMATES_CSV_COLUMNS = ("scenario", "rep", "model", "param", "est", "se", "converged")
 PERFORMANCE_CSV_COLUMNS = ("scenario", "model", "param", "truth", "mean_est", "bias", "bias_mcse",
@@ -58,6 +58,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValidationError("a study needs at least 2 replications")
+        if self.threads is not None and self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         models = tuple(self.models)
         if not models:
             raise ValidationError("a study needs at least one model")
@@ -118,18 +120,24 @@ class EstimatesTable:
             header = next(reader, None)
             if header is None or tuple(header) != ESTIMATES_CSV_COLUMNS:
                 raise ValidationError(f"{path}: expected header {','.join(ESTIMATES_CSV_COLUMNS)}")
-            for line in reader:
+            for lineno, line in enumerate(reader, start=2):
                 if not line:
                     continue
-                rows.append(EstimateRow(
-                    scenario=line[0],
-                    rep=int(line[1]),
-                    model=line[2],
-                    param=line[3],
-                    est=float(line[4]) if line[4] else None,
-                    se=float(line[5]) if line[5] else None,
-                    converged=bool(int(line[6])),
-                ))
+                if len(line) != len(ESTIMATES_CSV_COLUMNS):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(ESTIMATES_CSV_COLUMNS)} "
+                                          f"fields, got {len(line)}")
+                try:
+                    rows.append(EstimateRow(
+                        scenario=line[0],
+                        rep=int(line[1]),
+                        model=line[2],
+                        param=line[3],
+                        est=float(line[4]) if line[4] else None,
+                        se=float(line[5]) if line[5] else None,
+                        converged=bool(int(line[6])),
+                    ))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         return cls(rows)
 
 
@@ -388,6 +396,8 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
     """
     if panel.n_subjects < 2:
         raise ValidationError("diagnostics need at least 2 subjects")
+    if n_permutations < 0:
+        raise ValidationError(f"permutation count must be >= 0, got {n_permutations}")
     if isinstance(covariate, str):
         if covariate != "z":
             raise ValidationError(f"unknown covariate {covariate!r}; panels carry 'z'")
@@ -419,9 +429,10 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
             hits += 1
     pvalue = (hits + 1.0) / (n_permutations + 1.0)
 
-    ag = fit_andersen_gill(_CoxData.from_panel(panel, values))
+    data = _CoxData.from_panel(panel, values)
+    ag = fit_andersen_gill(data)
     if ag.converged:
-        se = float(ag.se_robust[0])
+        se = float(np.sqrt(np.clip(np.diag(_jackknife_cov(data, ag.eta)), 0.0, None))[0])
         hr = float(np.exp(ag.eta[0]))
         ci = (float(np.exp(ag.eta[0] - 1.96 * se)), float(np.exp(ag.eta[0] + 1.96 * se)))
     else:

@@ -10,89 +10,45 @@ correlation and cluster-robust standard errors.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, PanelDataset, write_atomic
+from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
 from .survfit import CoxFit, _CoxData, fit_andersen_gill
 
 PARAM_NAMES = ("alpha0", "alpha1", "alpha2")
 
-WEIGHT_CSV_COLUMNS = ("subject_id", "visit_index", "weight")
 
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Visit-level weights keyed by (subject_id, 0-based visit index)."""
-
-    weights: dict[tuple[int, int], float]
-
-    def weight_for(self, subject_id: int, visit_index: int) -> float:
-        return self.weights[(subject_id, visit_index)]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def write_csv(self, path) -> None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(WEIGHT_CSV_COLUMNS)
-        for (sid, j), value in sorted(self.weights.items()):
-            w.writerow([sid, j, repr(float(value))])
-        write_atomic(path, buf.getvalue())
-
-
-def compute_iiv_weights(coxfit: CoxFit, panel: PanelDataset) -> WeightTable:
-    """Build the normalised, shifted visit weights from a fitted weight model."""
+def compute_iiv_weights(coxfit: CoxFit, panel: PanelDataset) -> np.ndarray:
+    """One normalised, shifted visit weight per panel row from a fitted weight model."""
     if not coxfit.converged:
         raise EstimationError("weight model did not converge; cannot build weights")
     eta = np.asarray(coxfit.eta, dtype=float)
-
-    raw_by_subject = {}
-    total, count = 0.0, 0
-    for s in panel.subjects:
-        cov = np.array([float(s.z)])
-        raw = float(np.exp(-cov @ eta))
-        raw_by_subject[s.id] = raw
-        total += raw * s.n_visits
-        count += s.n_visits
-    mean_raw = total / count
-
-    weights: dict[tuple[int, int], float] = {}
-    negative = 0
-    for s in panel.subjects:
-        normalized = raw_by_subject[s.id] - mean_raw + 1.0
-        weights[(s.id, 0)] = 1.0
-        for j in range(1, s.n_visits):
-            # shift: the weight computed at visit j-1 attaches to visit j
-            weights[(s.id, j)] = normalized
-            if normalized <= 0:
-                negative += 1
+    raw = np.exp(-(panel.z[:, None] @ eta))
+    # cumsum keeps the sequential sum over subjects; a pairwise sum moves the golden digests
+    mean_raw = np.cumsum(raw * panel.counts)[-1] / panel.n_rows
+    # shift: the weight computed at visit j-1 attaches to visit j; baselines get one
+    weights = np.repeat(raw - mean_raw + 1.0, panel.counts)
+    weights[panel.starts] = 1.0
+    negative = np.count_nonzero(weights <= 0)
     if negative:
         warnings.warn(f"{negative} normalised visit weight(s) are <= 0; used as-is", stacklevel=2)
-    return WeightTable(weights)
+    return weights
 
 
-def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
+def fit_wgee(panel: PanelDataset, weights: np.ndarray) -> FitResult:
     """Weighted GEE (identity link, independence working correlation) for the outcome.
 
-    Point estimates solve the weighted normal equations; standard errors are
-    cluster-robust, clustered on subject.
+    ``weights`` holds one value per panel row.  Point estimates solve the
+    weighted normal equations; standard errors are cluster-robust, clustered
+    on subject.
     """
-    w = np.empty(panel.n_rows)
-    pos = 0
-    for s in panel.subjects:
-        for j in range(s.n_visits):
-            key = (s.id, j)
-            if key not in weights.weights:
-                raise ValidationError(f"missing weight for subject {s.id}, visit {j}")
-            w[pos] = weights.weights[key]
-            pos += 1
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (panel.n_rows,):
+        raise ValidationError(f"expected one weight per panel row, shape ({panel.n_rows},); "
+                              f"got shape {w.shape}")
 
     X = np.column_stack([np.ones_like(panel.y), panel.z_rows, panel.t])
     y = panel.y
@@ -127,10 +83,10 @@ def fit_wgee(panel: PanelDataset, weights: WeightTable) -> FitResult:
 def fit_iivw(panel: PanelDataset) -> FitResult:
     """Two-stage model E: Andersen-Gill weight model, then weighted GEE.
 
-    Only the weight model's coefficients are used, so it is fitted with the
-    cheap sandwich robust covariance rather than the jackknife.
+    Only the weight model's coefficients are used; its covariance is never
+    computed.
     """
-    coxfit = fit_andersen_gill(_CoxData.from_panel(panel), robust="sandwich")
+    coxfit = fit_andersen_gill(_CoxData.from_panel(panel))
     if not coxfit.converged:
         return FitResult(
             model_label="E",

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from .domain import FitResult, PanelDataset
-from .errors import EstimationError
+from .errors import EstimationError, ValidationError
 from .lmm import (LOG_2PI, Adjustment, LmmSpec, _newton_polish, _se_from_information, fit_lmm,
                   lmm_loglik)
 from .survfit import _CoxData, fit_weibull_ph
@@ -233,7 +233,7 @@ def _check_rule(rule: QuadratureRule | None) -> QuadratureRule:
 def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule | None = None,
                  adaptive: bool = True) -> float:
     """Marginal joint log likelihood, frailty integrated by Gauss-Hermite."""
-    data = panel if isinstance(panel, _JointData) else _JointData(panel)
+    data = _JointData(panel)
     rule = _check_rule(rule)
     loglik, contrib, _ = _evaluate(params.to_vector(), data, rule, adaptive, want_grad=False)
     if not np.all(np.isfinite(contrib)):
@@ -245,7 +245,7 @@ def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule 
 def joint_loglik_gradient(params: JointParams, panel: PanelDataset,
                           rule: QuadratureRule | None = None, adaptive: bool = True) -> np.ndarray:
     """Gradient of the joint log likelihood in the JointParams vector layout."""
-    data = panel if isinstance(panel, _JointData) else _JointData(panel)
+    data = _JointData(panel)
     _, _, grad = _evaluate(params.to_vector(), data, _check_rule(rule), adaptive, want_grad=True)
     return grad
 
@@ -285,6 +285,10 @@ class JointFitOptions:
     adaptive: bool = True
     max_iter: int = 500
     gtol: float = 1e-6
+
+    def __post_init__(self):
+        if self.order < 3:
+            raise ValidationError(f"quadrature order must be >= 3, got {self.order}")
 
 
 def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:

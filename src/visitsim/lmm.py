@@ -102,12 +102,11 @@ def _loglik_parts(data: _LmmData, alpha, sigma_v2: float, sigma_e2: float):
 def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel, spec: LmmSpec | None = None) -> float:
     """Marginal log likelihood of the random-intercept model at the given parameters.
 
-    ``panel`` may be a PanelDataset (a design is built from ``spec``) or a
-    prebuilt ``_LmmData``.
+    The fixed-effects design is built from ``spec`` (default: no adjustment).
     """
     if sigma_v2 <= 0 or sigma_e2 <= 0:
         raise ValueError("variance components must be > 0")
-    data = panel if isinstance(panel, _LmmData) else _LmmData(panel, spec or LmmSpec())
+    data = _LmmData(panel, spec or LmmSpec())
     if len(alpha) != data.X.shape[1]:
         raise ValueError(f"alpha must have length {data.X.shape[1]}")
     _, _, _, quad, logdet = _loglik_parts(data, alpha, sigma_v2, sigma_e2)

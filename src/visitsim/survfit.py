@@ -1,11 +1,11 @@
 """Andersen-Gill recurrent-events Cox model on the gap-time scale.
 
-The partial likelihood treats every gap record as one risk interval on the
-renewal clock: the risk set at an event gap g contains all records (observed
-or censored) with gap >= g.  Ties are handled with the Breslow
-approximation.  The robust variance is a leave-one-subject-out grouped
-jackknife (one-step Newton by default, exact refits optionally), with a
-cluster-sandwich estimator available as an alternative.
+Every fit reads a panel's gaps through ``_CoxData.from_panel``.  The
+partial likelihood treats every gap as one risk interval on the renewal
+clock: the risk set at an event gap g contains all gaps (observed or
+censored) with length >= g.  Ties are handled with the Breslow
+approximation.  ``_jackknife_cov`` gives a leave-one-subject-out grouped
+jackknife covariance from one-step Newton replicates.
 """
 
 from __future__ import annotations
@@ -32,25 +32,16 @@ class CoxFit:
     """Result of an Andersen-Gill fit."""
 
     eta: np.ndarray
-    cov_naive: np.ndarray
-    cov_robust: np.ndarray
     loglik: float
     converged: bool
     n_events: int
     iterations: int
     message: str = ""
 
-    @property
-    def se_naive(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov_naive), 0.0, None))
-
-    @property
-    def se_robust(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov_robust), 0.0, None))
-
 
 class _CoxData:
-    """Gap records flattened and sorted by descending gap for prefix-sum risk sets."""
+    """Gaps, event flags, covariates and subject ids, sorted by descending gap for
+    prefix-sum risk sets."""
 
     def __init__(self, gaps, events, covariates, subjects):
         gaps = np.asarray(gaps, dtype=float)
@@ -71,18 +62,6 @@ class _CoxData:
         self.risk_end = np.searchsorted(-self.gaps, -self.gaps, side="right") - 1
         self.event_idx = np.nonzero(self.events)[0]
         self.n_events = len(self.event_idx)
-
-    @classmethod
-    def from_records(cls, gap_records):
-        recs = list(gap_records)
-        if not recs:
-            raise EstimationError("no gap records")
-        return cls(
-            [r.gap for r in recs],
-            [r.observed for r in recs],
-            [r.covariates for r in recs],
-            [r.subject_id for r in recs],
-        )
 
     @classmethod
     def from_panel(cls, panel, covariate=None):
@@ -118,16 +97,16 @@ def _loglik_grad_hess(data: _CoxData, eta: np.ndarray):
     return loglik, grad, hess
 
 
-def cox_partial_loglik(eta, gap_records):
+def cox_partial_loglik(eta, data: _CoxData):
     """Breslow partial log likelihood with gradient and Hessian at ``eta``."""
-    data = gap_records if isinstance(gap_records, _CoxData) else _CoxData.from_records(gap_records)
     if data.n_events == 0:
         raise EstimationError("no events: every gap record is censored")
     return _loglik_grad_hess(data, np.atleast_1d(np.asarray(eta, dtype=float)))
 
 
-def _newton(data: _CoxData, eta0=None):
-    eta = np.zeros(data.d) if eta0 is None else np.array(eta0, dtype=float)
+def _newton(data: _CoxData):
+    """Maximise the partial likelihood from eta = 0: (eta, loglik, iterations, ok, message)."""
+    eta = np.zeros(data.d)
     loglik, grad, hess = _loglik_grad_hess(data, eta)
     tol = _grad_tol(data.n_events)
     noise = 1e-10 * (1.0 + abs(loglik))
@@ -138,7 +117,7 @@ def _newton(data: _CoxData, eta0=None):
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
-            return eta, loglik, grad, hess, it, False, "singular information matrix"
+            return eta, loglik, it, False, "singular information matrix"
         scale = 1.0
         for _ in range(30):
             cand = eta + scale * step
@@ -148,18 +127,22 @@ def _newton(data: _CoxData, eta0=None):
                 break
             scale *= 0.5
         else:
-            return eta, loglik, grad, hess, it, False, "step halving failed"
+            return eta, loglik, it, False, "step halving failed"
         if np.max(np.abs(eta)) > DIVERGENCE_BOUND:
-            return eta, loglik, grad, hess, it, False, "monotone likelihood: estimate diverging"
+            return eta, loglik, it, False, "monotone likelihood: estimate diverging"
     ok = np.max(np.abs(grad)) < 1e-6
     if ok and np.min(np.linalg.eigvalsh(-hess)) < 1e-8:
         # the likelihood flattened out instead of peaking: no interior maximum
-        return eta, loglik, grad, hess, it, False, "monotone likelihood: information vanishes"
-    return eta, loglik, grad, hess, it, ok, "" if ok else "gradient tolerance not reached"
+        return eta, loglik, it, False, "monotone likelihood: information vanishes"
+    return eta, loglik, it, ok, "" if ok else "gradient tolerance not reached"
 
 
-def _jackknife_cov(data: _CoxData, eta: np.ndarray, exact: bool) -> np.ndarray:
-    """Grouped leave-one-subject-out jackknife: (K/(K-1)) * sum (eta_(-i) - mean)^2."""
+def _jackknife_cov(data: _CoxData, eta: np.ndarray) -> np.ndarray:
+    """Grouped leave-one-subject-out jackknife: (K/(K-1)) * sum (eta_(-i) - mean)^2.
+
+    Each replicate eta_(-i) is one Newton step from ``eta`` on the data
+    without subject i.
+    """
     subjects = np.unique(data.subjects)
     K = len(subjects)
     if K < 2:
@@ -175,55 +158,16 @@ def _jackknife_cov(data: _CoxData, eta: np.ndarray, exact: bool) -> np.ndarray:
             reps[i] = eta + np.linalg.solve(-h, g)
         except np.linalg.LinAlgError:
             reps[i] = eta
-        if exact:
-            refit, _, _, _, _, ok, _ = _newton(sub, eta0=eta)
-            if ok:
-                reps[i] = refit
     centered = reps - reps.mean(axis=0)
     return (K / (K - 1.0)) * (centered.T @ centered)
 
 
-def _score_residuals(data: _CoxData, eta: np.ndarray) -> np.ndarray:
-    """Per-subject score contributions at ``eta`` (Breslow convention)."""
-    lin = data.Z @ eta
-    lin_max = lin.max()
-    w = np.exp(lin - lin_max)
-    s0 = np.cumsum(w)
-    s1 = np.cumsum(w[:, None] * data.Z, axis=0)
-    idx = data.risk_end[data.event_idx]
-    S0 = s0[idx]
-    zbar = s1[idx] / S0[:, None]
-
-    # record r sits in the risk set of event e iff pos(r) <= risk_end[e];
-    # bucket each event's 1/S0 term at risk_end[e] and suffix-sum
-    bucket = np.zeros(data.n)
-    bucketz = np.zeros((data.n, data.d))
-    np.add.at(bucket, idx, 1.0 / S0)
-    np.add.at(bucketz, idx, zbar / S0[:, None])
-    A = np.cumsum(bucket[::-1])[::-1]
-    B = np.cumsum(bucketz[::-1], axis=0)[::-1]
-
-    # the exp(-lin_max) factor in w cancels against its inverse in A and B
-    U = -w[:, None] * (data.Z * A[:, None] - B)
-    U[data.event_idx] += data.Z[data.event_idx] - zbar
-
-    subjects, codes = np.unique(data.subjects, return_inverse=True)
-    out = np.zeros((len(subjects), data.d))
-    np.add.at(out, codes, U)
-    return out
-
-
-def fit_andersen_gill(gap_records, robust: str = "jackknife", jackknife_exact: bool = False) -> CoxFit:
+def fit_andersen_gill(data: _CoxData) -> CoxFit:
     """Fit the recurrent-events Cox model by Newton-Raphson with step halving.
 
-    ``robust`` selects the robust covariance: ``"jackknife"`` (grouped
-    leave-one-subject-out, the default) or ``"sandwich"`` (cluster score
-    sandwich).  ``jackknife_exact`` switches the jackknife replicates from
-    one-step Newton approximations to full refits.
+    ``data`` is a panel's gaps as built by ``_CoxData.from_panel``.  Only the
+    coefficients are estimated; ``_jackknife_cov`` gives their covariance.
     """
-    if robust not in ("jackknife", "sandwich"):
-        raise ValueError(f"unknown robust variance {robust!r}")
-    data = _CoxData.from_records(gap_records) if not isinstance(gap_records, _CoxData) else gap_records
     if data.n_events == 0:
         raise EstimationError("no events: every gap record is censored")
 
@@ -232,39 +176,22 @@ def fit_andersen_gill(gap_records, robust: str = "jackknife", jackknife_exact: b
         # no covariate contrast: the partial likelihood is flat in eta
         eta = np.zeros(data.d)
         loglik, _, _ = _loglik_grad_hess(data, eta)
-        zero = np.zeros((data.d, data.d))
-        return CoxFit(eta, zero, zero, loglik, True, data.n_events, 0,
+        return CoxFit(eta, loglik, True, data.n_events, 0,
                       message="no covariate contrast; partial likelihood constant in eta")
 
-    eta, loglik, grad, hess, iters, ok, msg = _newton(data)
-    if not ok:
-        nan = np.full((data.d, data.d), np.nan)
-        return CoxFit(eta, nan, nan, loglik, False, data.n_events, iters, message=msg)
-
-    try:
-        cov_naive = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        nan = np.full((data.d, data.d), np.nan)
-        return CoxFit(eta, nan, nan, loglik, False, data.n_events, iters,
-                      message="information matrix singular at the optimum")
-
-    if robust == "jackknife":
-        cov_robust = _jackknife_cov(data, eta, exact=jackknife_exact)
-    else:
-        U = _score_residuals(data, eta)
-        cov_robust = cov_naive @ (U.T @ U) @ cov_naive
-    return CoxFit(eta, cov_naive, cov_robust, loglik, True, data.n_events, iters)
+    # _newton reports ok only where -hess is positive definite
+    eta, loglik, iters, ok, msg = _newton(data)
+    return CoxFit(eta, loglik, bool(ok), data.n_events, iters, message=msg)
 
 
 # --- Weibull proportional-hazards regression (marginal, no frailty) ---------
 
 
-def fit_weibull_ph(gap_records):
+def fit_weibull_ph(data: _CoxData):
     """MLE of a marginal Weibull PH model on gaps: hazard lam*p*t^(p-1)*exp(z'beta).
 
     Used for starting values of the joint fit.  Returns (lam, p, beta, ok).
     """
-    data = _CoxData.from_records(gap_records) if not isinstance(gap_records, _CoxData) else gap_records
     if data.n_events == 0:
         raise EstimationError("no events: every gap record is censored")
     t = data.gaps

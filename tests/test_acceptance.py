@@ -19,10 +19,10 @@ from visitsim.dgm import ScenarioConfig, draw_weibull_gap, parse_scenario_text, 
 from visitsim.domain import Subject, build_panel
 from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, run_study,
                               summarize)
-from visitsim.iivw import WeightTable, fit_wgee
+from visitsim.iivw import fit_wgee
 from visitsim.jointfit import JointParams, QuadratureRule, joint_loglik, recurrent_frailty_loglik
 from visitsim.lmm import Adjustment, LmmSpec, design_matrix, lmm_loglik
-from visitsim.survfit import cox_partial_loglik, fit_andersen_gill
+from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 
 from test_jointfit import mc_oracle
 from test_lmm import dense_loglik
@@ -309,16 +309,16 @@ class TestCriterion7OracleEquivalences:
             failures.append(f"joint vs MC: |diff|={abs(quad - mc):.4f} >= 3*MCSE={3 * mcse:.4f}")
 
         # (c) Cox estimate vs grid search
-        fit = fit_andersen_gill(rng_panel.gap_records, robust="sandwich")
+        cox = _CoxData.from_panel(rng_panel)
+        fit = fit_andersen_gill(cox)
         grid = np.linspace(fit.eta[0] - 0.4, fit.eta[0] + 0.4, 160001)
-        lls = [cox_partial_loglik([e], rng_panel.gap_records)[0] for e in grid]
+        lls = [cox_partial_loglik([e], cox)[0] for e in grid]
         best = grid[int(np.argmax(lls))]
         if abs(fit.eta[0] - best) >= 1e-6:
             failures.append(f"cox vs grid: |diff|={abs(fit.eta[0] - best):.2e} >= 1e-6")
 
         # (d) unit-weight GEE vs ordinary least squares
-        unit = WeightTable({(s.id, j): 1.0 for s in rng_panel.subjects for j in range(s.n_visits)})
-        gee = fit_wgee(rng_panel, unit)
+        gee = fit_wgee(rng_panel, np.ones(rng_panel.n_rows))
         y = np.concatenate([s.outcomes for s in rng_panel.subjects])
         X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
                        for s in rng_panel.subjects])

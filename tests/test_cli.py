@@ -97,6 +97,33 @@ class TestFitCommand:
         assert total == pytest.approx(data["loglik"], abs=1e-6)
 
 
+class TestBadNumericOptions:
+    @pytest.mark.parametrize("argv, message", [
+        (["run-study", "--config", "{cfg}", "--reps", "3", "--models", "D", "--threads", "1",
+          "--gh-order", "2", "--out-dir", "{out}"], "quadrature order must be >= 3"),
+        (["run-study", "--config", "{cfg}", "--reps", "3", "--models", "D", "--threads", "-1",
+          "--out-dir", "{out}"], "threads must be >= 1"),
+        (["run-study", "--config", "{cfg}", "--reps", "3", "--models", "D", "--threads", "0",
+          "--out-dir", "{out}"], "threads must be >= 1"),
+        (["fit", "--panel", "{panel}", "--model", "A", "--gh-order", "2", "--out", "{out}"],
+         "quadrature order must be >= 3"),
+        (["diagnose", "--panel", "{panel}", "--permutations", "-1", "--out", "{out}"],
+         "permutation count must be >= 0"),
+    ], ids=["run-study-gh-order", "run-study-threads-negative", "run-study-threads-zero",
+            "fit-gh-order", "diagnose-permutations"])
+    def test_rejected_before_any_output(self, cfg_path, tmp_path, capsys, argv, message):
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(panel)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = [a.format(cfg=cfg_path, panel=panel, out=out) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"visitsim: error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestRunStudyCommand:
     def test_outputs_and_manifest(self, cfg_path, tmp_path):
         out_dir = tmp_path / "study"

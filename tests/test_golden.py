@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 digests of the simulated panel CSV and of a
 3-replication study's estimates.csv for every shipped preset, each at the
-preset's own seed.
+preset's own seed, and of the ``diagnose --permutations 99`` JSON for the
+simulated panels of three presets.
 
 A refactor that is meant to leave the numbers alone must leave these
 digests alone.  A change that moves results on purpose updates the table
@@ -39,6 +40,12 @@ ESTIMATES_SHA256 = {
     "jm_g30_l005_regular": "08cb562de279e1c6f1b15608fae5c4a54e961a36448aa74e6e69509a1f825291",
 }
 
+DIAGNOSE_SHA256 = {
+    "jm_g15_l030": "a6f7ba459395f9a7d8584a6fdc5698e31a39cd769e19a82535276da9c834bb8c",
+    "gamma_psi2": "f070c0c11357bef004733bac3ce389dac284f50d1ea955249446497ebe62290d",
+    "jm_g0_l100": "7f886b0723754e2c98729bf5d3286e08e382ac1ad3392d4e412ef8e46c5adab2",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -57,6 +64,15 @@ def estimates_digest(preset: str, tmp_path) -> str:
     return _sha256(tmp_path / "estimates.csv")
 
 
+def diagnose_digest(preset: str, tmp_path) -> str:
+    panel_digest(preset, tmp_path)
+    out = tmp_path / "diagnose.json"
+    argv = ["diagnose", "--panel", str(tmp_path / "panel.csv"), "--permutations", "99",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    return _sha256(out)
+
+
 @pytest.fixture(autouse=True)
 def _preset_seed(monkeypatch):
     monkeypatch.delenv("VISITSIM_SEED", raising=False)
@@ -70,3 +86,8 @@ def test_panel_csv(preset, tmp_path):
 @pytest.mark.parametrize("preset", cli.PRESETS)
 def test_study_estimates_csv(preset, tmp_path):
     assert estimates_digest(preset, tmp_path) == ESTIMATES_SHA256[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(DIAGNOSE_SHA256))
+def test_diagnose_json(preset, tmp_path):
+    assert diagnose_digest(preset, tmp_path) == DIAGNOSE_SHA256[preset]

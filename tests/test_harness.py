@@ -22,6 +22,9 @@ class TestStudyConfig:
             small_study(models=())
         with pytest.raises(ValidationError):
             small_study(models=("Z",))
+        for threads in (0, -1):
+            with pytest.raises(ValidationError, match="threads must be >= 1"):
+                StudyConfig(scenario=small_study().scenario, threads=threads)
 
 
 class TestRunStudy:
@@ -55,6 +58,19 @@ class TestRunStudy:
         assert path.read_text().splitlines()[0] == "scenario,rep,model,param,est,se,converged"
         back = EstimatesTable.read_csv(path)
         assert back.to_csv_text() == table.to_csv_text()
+
+    @pytest.mark.parametrize("row, message", [
+        ("s,1,D,alpha1", "expected 7 fields, got 4"),
+        ("s,x,D,alpha1,0.5,0.1,1", "invalid literal for int"),
+        ("s,1,D,alpha1,0.5,0.1,yes", "invalid literal for int"),
+        ("s,1,D,alpha1,abc,0.1,1", "could not convert string to float"),
+    ], ids=["four-fields", "rep-not-int", "converged-not-int", "est-not-float"])
+    def test_read_csv_reports_malformed_rows(self, tmp_path, row, message):
+        path = tmp_path / "estimates.csv"
+        path.write_text("scenario,rep,model,param,est,se,converged\n"
+                        "s,1,D,alpha0,0.1,0.2,1\n" + row + "\n")
+        with pytest.raises(ValidationError, match=f"^{path}:3: {message}"):
+            EstimatesTable.read_csv(path)
 
 
 def rows_from(values, model="D", param="alpha1", ses=None, converged=None, scenario="s"):
@@ -186,6 +202,12 @@ class TestDiagnose:
         diag = diagnose_informativeness(build_panel(subs), n_permutations=99)
         assert not diag.applicable
         assert np.isnan(diag.spearman_rho)
+
+    def test_negative_permutation_count_rejected(self):
+        panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=20), 58)
+        with pytest.raises(ValidationError, match="permutation count must be >= 0"):
+            diagnose_informativeness(panel, n_permutations=-1)
+        assert diagnose_informativeness(panel, n_permutations=0).spearman_pvalue == 1.0
 
     def test_json_dict(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40)

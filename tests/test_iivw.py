@@ -4,14 +4,12 @@ import pytest
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.iivw import WeightTable, compute_iiv_weights, fit_iivw, fit_wgee
-from visitsim.survfit import CoxFit, fit_andersen_gill
+from visitsim.iivw import compute_iiv_weights, fit_iivw, fit_wgee
+from visitsim.survfit import CoxFit, _CoxData, fit_andersen_gill
 
 
 def toy_coxfit(eta, converged=True):
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    z = np.zeros((len(eta), len(eta)))
-    return CoxFit(eta, z, z, 0.0, converged, 1, 1)
+    return CoxFit(np.atleast_1d(np.asarray(eta, dtype=float)), 0.0, converged, 1, 1)
 
 
 def simple_panel():
@@ -32,24 +30,25 @@ class TestComputeWeights:
 
     def test_null_weight_model_gives_unit_weights(self):
         panel = simple_panel()
-        table = compute_iiv_weights(toy_coxfit([0.0]), panel)
-        assert all(w == 1.0 for w in table.weights.values())
+        weights = compute_iiv_weights(toy_coxfit([0.0]), panel)
+        assert weights.shape == (panel.n_rows,)
+        assert np.all(weights == 1.0)
 
     def test_first_visit_weight_one_and_shift(self):
         panel = simple_panel()
-        table = compute_iiv_weights(toy_coxfit([0.5]), panel)
+        weights = compute_iiv_weights(toy_coxfit([0.5]), panel)
         raw_t = np.exp(-0.5)
         mean_raw = (raw_t * 3 + 1.0 * 2 + raw_t * 1) / 6.0
-        for s in panel.subjects:
-            assert table.weight_for(s.id, 0) == 1.0
-            expect = (raw_t if s.z == 1 else 1.0) - mean_raw + 1.0
-            for j in range(1, s.n_visits):
-                assert table.weight_for(s.id, j) == pytest.approx(expect, abs=1e-12)
+        # rows in panel order: subject 1 (z=1) x3, subject 2 (z=0) x2, subject 3 (z=1) x1
+        expect = [1.0, raw_t - mean_raw + 1.0, raw_t - mean_raw + 1.0,
+                  1.0, 1.0 - mean_raw + 1.0,
+                  1.0]
+        np.testing.assert_allclose(weights, expect, rtol=0, atol=1e-12)
 
     def test_mean_one_before_shift_on_simulated_panel(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=60)
         panel = simulate_panel(cfg, 3)
-        ag = fit_andersen_gill(panel.gap_records, robust="sandwich")
+        ag = fit_andersen_gill(_CoxData.from_panel(panel))
         compute_iiv_weights(ag, panel)
         raw = {s.id: float(np.exp(-s.z * ag.eta[0])) for s in panel.subjects}
         values = [raw[s.id] for s in panel.subjects for _ in range(s.n_visits)]
@@ -64,23 +63,14 @@ class TestComputeWeights:
         panel = simple_panel()
         a = compute_iiv_weights(toy_coxfit([0.3]), panel)
         b = compute_iiv_weights(toy_coxfit([0.3]), panel)
-        assert a.weights == b.weights
-
-    def test_csv_export(self, tmp_path):
-        table = compute_iiv_weights(toy_coxfit([0.3]), simple_panel())
-        path = tmp_path / "weights.csv"
-        table.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "subject_id,visit_index,weight"
-        assert len(lines) == 1 + len(table)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestWgee:
     def test_unit_weights_equal_ols(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=50)
         panel = simulate_panel(cfg, 5)
-        unit = WeightTable({(s.id, j): 1.0 for s in panel.subjects for j in range(s.n_visits)})
-        fit = fit_wgee(panel, unit)
+        fit = fit_wgee(panel, np.ones(panel.n_rows))
         y = np.concatenate([s.outcomes for s in panel.subjects])
         X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
                        for s in panel.subjects])
@@ -92,17 +82,17 @@ class TestWgee:
     def test_weight_rescaling_leaves_estimates(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=50)
         panel = simulate_panel(cfg, 6)
-        table = compute_iiv_weights(fit_andersen_gill(panel.gap_records, robust="sandwich"), panel)
-        half = WeightTable({k: 0.5 * v for k, v in table.weights.items()})
-        a = fit_wgee(panel, table)
-        b = fit_wgee(panel, half)
+        weights = compute_iiv_weights(fit_andersen_gill(_CoxData.from_panel(panel)), panel)
+        a = fit_wgee(panel, weights)
+        b = fit_wgee(panel, 0.5 * weights)
         np.testing.assert_allclose(a.estimates, b.estimates, atol=1e-12)
 
     def test_missing_weight_rejected(self):
+        # simple_panel has 6 rows: too few, too many and a column all fail
         panel = simple_panel()
-        incomplete = WeightTable({(1, 0): 1.0})
-        with pytest.raises(ValidationError, match="missing weight"):
-            fit_wgee(panel, incomplete)
+        for shape in [(1,), (5,), (7,), (6, 1)]:
+            with pytest.raises(ValidationError, match="one weight per panel row"):
+                fit_wgee(panel, np.ones(shape))
 
     def test_two_stage_pipeline(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=100)

@@ -3,6 +3,7 @@ import pytest
 
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
+from visitsim.errors import ValidationError
 from visitsim.jointfit import (JointFitOptions, JointParams, QuadratureRule, _JointData,
                                _evaluate, fit_joint, joint_loglik, joint_loglik_gradient,
                                recurrent_frailty_loglik, subject_log_contributions)
@@ -62,6 +63,11 @@ class TestQuadratureRule:
     def test_order_bound(self):
         with pytest.raises(ValueError):
             QuadratureRule.gauss_hermite(2)
+
+    def test_fit_options_order_bound(self):
+        JointFitOptions(order=3)
+        with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
+            JointFitOptions(order=2)
 
     def test_normal_moments(self):
         rule = QuadratureRule.gauss_hermite(25)

@@ -1,0 +1,15 @@
+import visitsim
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from visitsim import *", namespace)
+    for name in visitsim.__all__:
+        assert name in namespace, name
+        assert namespace[name] is getattr(visitsim, name)
+    assert len(set(visitsim.__all__)) == len(visitsim.__all__)
+
+
+def test_weight_table_is_gone():
+    assert "WeightTable" not in visitsim.__all__
+    assert not hasattr(visitsim, "WeightTable")

@@ -4,13 +4,17 @@ import pytest
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import GapRecord, build_panel
 from visitsim.errors import EstimationError
-from visitsim.survfit import (_CoxData, _score_residuals, cox_partial_loglik, fit_andersen_gill,
+from visitsim.survfit import (_CoxData, _jackknife_cov, cox_partial_loglik, fit_andersen_gill,
                               fit_weibull_ph)
 
 
 def rec(sid, idx, gap, obs, *cov):
     return GapRecord(sid, idx, gap, obs, tuple(float(c) for c in cov))
 
+
+def cox_data(records):
+    return _CoxData([r.gap for r in records], [r.observed for r in records],
+                    [r.covariates for r in records], [r.subject_id for r in records])
 
 def random_records(n_subjects=30, seed=3, d=1):
     rng = np.random.default_rng(seed)
@@ -26,129 +30,118 @@ class TestPartialLoglik:
     def test_two_record_hand_oracle(self):
         # gaps {1, 2}, events both, covariate {1, 0}:
         # risk set at gap 2 is {record 2} alone; at gap 1 both records.
-        records = [rec(1, 1, 1.0, True, 1.0), rec(2, 1, 2.0, True, 0.0)]
+        data = cox_data([rec(1, 1, 1.0, True, 1.0), rec(2, 1, 2.0, True, 0.0)])
         for eta in (-1.3, 0.0, 0.7, 2.1):
-            ll, _, _ = cox_partial_loglik([eta], records)
+            ll, _, _ = cox_partial_loglik([eta], data)
             assert ll == pytest.approx(eta - np.log(np.exp(eta) + 1.0), abs=1e-12)
 
     def test_gradient_hessian_consistency(self):
-        records = random_records(d=2)
+        data = cox_data(random_records(d=2))
         eta = np.array([0.3, -0.5])
-        ll, g, h = cox_partial_loglik(eta, records)
+        ll, g, h = cox_partial_loglik(eta, data)
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1e-6
-            fd = (cox_partial_loglik(eta + e, records)[0]
-                  - cox_partial_loglik(eta - e, records)[0]) / 2e-6
+            fd = (cox_partial_loglik(eta + e, data)[0]
+                  - cox_partial_loglik(eta - e, data)[0]) / 2e-6
             assert g[j] == pytest.approx(fd, abs=1e-5)
         fdh = np.empty((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1e-5
-            fdh[:, j] = (cox_partial_loglik(eta + e, records)[1]
-                         - cox_partial_loglik(eta - e, records)[1]) / 2e-5
+            fdh[:, j] = (cox_partial_loglik(eta + e, data)[1]
+                         - cox_partial_loglik(eta - e, data)[1]) / 2e-5
         np.testing.assert_allclose(h, fdh, atol=1e-6)
 
     def test_no_events_error(self):
         with pytest.raises(EstimationError, match="no events"):
-            cox_partial_loglik([0.0], [rec(1, 1, 1.0, False, 0.5)])
+            cox_partial_loglik([0.0], cox_data([rec(1, 1, 1.0, False, 0.5)]))
 
     def test_rank_invariance(self):
         # any strictly increasing transform of the gaps leaves the likelihood unchanged
         records = random_records(seed=10)
         eta = [0.4]
-        base = cox_partial_loglik(eta, records)[0]
+        base = cox_partial_loglik(eta, cox_data(records))[0]
         warped = [rec(r.subject_id, r.index, float(np.expm1(r.gap) + r.gap**3), r.observed,
                       *r.covariates) for r in records]
-        assert cox_partial_loglik(eta, warped)[0] == pytest.approx(base, abs=1e-10)
+        assert cox_partial_loglik(eta, cox_data(warped))[0] == pytest.approx(base, abs=1e-10)
 
 
 class TestFit:
     def test_matches_grid_search(self):
-        records = [rec(1, 1, 1.0, True, 1.0), rec(1, 2, 3.0, False, 1.0),
-                   rec(2, 1, 2.0, True, 0.0), rec(2, 2, 0.5, True, 0.0)]
-        fit = fit_andersen_gill(records)
+        data = cox_data([rec(1, 1, 1.0, True, 1.0), rec(1, 2, 3.0, False, 1.0),
+                         rec(2, 1, 2.0, True, 0.0), rec(2, 2, 0.5, True, 0.0)])
+        fit = fit_andersen_gill(data)
         grid = np.linspace(fit.eta[0] - 0.5, fit.eta[0] + 0.5, 200001)
-        lls = [cox_partial_loglik([e], records)[0] for e in grid]
+        lls = [cox_partial_loglik([e], data)[0] for e in grid]
         assert fit.eta[0] == pytest.approx(grid[int(np.argmax(lls))], abs=1e-6)
         assert fit.converged
 
     def test_gradient_small_and_hessian_negative_definite(self):
-        records = random_records(n_subjects=60, seed=6, d=2)
-        fit = fit_andersen_gill(records)
-        _, g, h = cox_partial_loglik(fit.eta, records)
+        data = cox_data(random_records(n_subjects=60, seed=6, d=2))
+        fit = fit_andersen_gill(data)
+        _, g, h = cox_partial_loglik(fit.eta, data)
         assert np.max(np.abs(g)) < 1e-6
         assert np.all(np.linalg.eigvalsh(h) < 0)
 
     def test_constant_covariate_flat_likelihood(self):
-        records = [rec(1, 1, 1.0, True, 1.0), rec(2, 1, 2.0, True, 1.0)]
-        fit = fit_andersen_gill(records)
+        fit = fit_andersen_gill(cox_data([rec(1, 1, 1.0, True, 1.0), rec(2, 1, 2.0, True, 1.0)]))
         assert fit.eta[0] == 0.0
         assert fit.converged
         assert "no covariate contrast" in fit.message
 
     def test_symmetric_design_zero(self):
-        records = [rec(1, 1, 1.0, True, 0.5), rec(2, 1, 1.0, True, -0.5)]
-        fit = fit_andersen_gill(records)
+        fit = fit_andersen_gill(cox_data([rec(1, 1, 1.0, True, 0.5), rec(2, 1, 1.0, True, -0.5)]))
         assert fit.eta[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_likelihood_flagged(self):
         # perfectly separated: the treated record always outlasts the others
-        records = [rec(1, 1, 5.0, True, 1.0), rec(2, 1, 1.0, True, 0.0),
-                   rec(3, 1, 0.5, True, 0.0)]
-        fit = fit_andersen_gill(records)
+        fit = fit_andersen_gill(cox_data([rec(1, 1, 5.0, True, 1.0), rec(2, 1, 1.0, True, 0.0),
+                                          rec(3, 1, 0.5, True, 0.0)]))
         assert not fit.converged
         assert fit.message
 
 
 class TestRobustVariance:
     def test_jackknife_formula_three_subjects(self):
-        # exact refits reduce to (K/(K-1)) * sum of outer products of centered
-        # leave-one-out estimates, computed here by hand; continuous covariates
-        # keep every leave-one-out subset identifiable
+        # (K/(K-1)) * sum of outer products of centered leave-one-out estimates,
+        # each one Newton step from the full-data estimate, computed here by
+        # hand; continuous covariates keep every leave-one-out subset identifiable
         records = [rec(1, 1, 1.0, True, 0.5), rec(1, 2, 4.0, True, 0.5),
                    rec(2, 1, 2.0, True, -0.2), rec(2, 2, 0.5, True, -0.2),
                    rec(3, 1, 3.0, True, 1.3), rec(3, 2, 0.7, True, 1.3)]
-        fit = fit_andersen_gill(records, robust="jackknife", jackknife_exact=True)
+        data = cox_data(records)
+        eta = fit_andersen_gill(data).eta
         loo = []
         for drop in (1, 2, 3):
-            sub = [r for r in records if r.subject_id != drop]
-            loo.append(fit_andersen_gill(sub).eta[0])
+            _, g, h = cox_partial_loglik(eta, cox_data([r for r in records if r.subject_id != drop]))
+            loo.append(eta[0] - g[0] / h[0, 0])
         loo = np.array(loo)
         expected = (3.0 / 2.0) * np.sum((loo - loo.mean()) ** 2)
-        assert fit.cov_robust[0, 0] == pytest.approx(expected, rel=1e-8)
+        assert _jackknife_cov(data, eta)[0, 0] == pytest.approx(expected, rel=1e-8)
 
     def test_one_step_close_to_exact(self):
         records = random_records(n_subjects=40, seed=21)
-        one = fit_andersen_gill(records, robust="jackknife").cov_robust[0, 0]
-        exact = fit_andersen_gill(records, robust="jackknife", jackknife_exact=True).cov_robust[0, 0]
+        data = cox_data(records)
+        one = _jackknife_cov(data, fit_andersen_gill(data).eta)[0, 0]
+        subjects = sorted({r.subject_id for r in records})
+        loo = np.array([fit_andersen_gill(cox_data([r for r in records if r.subject_id != sid])).eta[0]
+                        for sid in subjects])
+        K = len(subjects)
+        exact = (K / (K - 1.0)) * np.sum((loo - loo.mean()) ** 2)
         assert one == pytest.approx(exact, rel=0.15)
 
     def test_jackknife_diagonal_nonnegative(self):
-        records = random_records(n_subjects=25, seed=30, d=2)
-        fit = fit_andersen_gill(records)
-        assert np.all(np.diag(fit.cov_robust) >= 0)
-        np.testing.assert_allclose(fit.cov_robust, fit.cov_robust.T, atol=1e-14)
-
-    def test_score_residuals_sum_to_gradient(self):
-        records = random_records(n_subjects=35, seed=17, d=2)
-        data = _CoxData.from_records(records)
-        eta = np.array([0.25, -0.4])
-        U = _score_residuals(data, eta)
-        _, g, _ = cox_partial_loglik(eta, records)
-        np.testing.assert_allclose(U.sum(axis=0), g, atol=1e-10)
-
-    def test_sandwich_comparable_to_jackknife(self):
-        records = random_records(n_subjects=80, seed=8)
-        sand = fit_andersen_gill(records, robust="sandwich").cov_robust[0, 0]
-        jack = fit_andersen_gill(records, robust="jackknife").cov_robust[0, 0]
-        assert sand == pytest.approx(jack, rel=0.35)
+        data = cox_data(random_records(n_subjects=25, seed=30, d=2))
+        cov = _jackknife_cov(data, fit_andersen_gill(data).eta)
+        assert np.all(np.diag(cov) >= 0)
+        np.testing.assert_allclose(cov, cov.T, atol=1e-14)
 
 
 class TestFromPanel:
     def test_matches_gap_records(self):
         panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40), 12)
-        ours, recs = _CoxData.from_panel(panel), _CoxData.from_records(panel.gap_records)
+        ours, recs = _CoxData.from_panel(panel), cox_data(panel.gap_records)
         for name in ("gaps", "events", "Z", "subjects", "risk_end", "event_idx"):
             np.testing.assert_array_equal(getattr(ours, name), getattr(recs, name))
 
@@ -167,16 +160,17 @@ class TestOnSimulatedPanels:
         # attenuated target at 0.7112 (se 0.0067)
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.30, gamma=1.5, n_subjects=2000)
         panel = simulate_panel(cfg, 77)
-        fit = fit_andersen_gill(panel.gap_records, robust="sandwich")
+        data = _CoxData.from_panel(panel)
+        fit = fit_andersen_gill(data)
         assert fit.converged
         assert abs(fit.eta[0] - 0.7112) < 0.2
-        assert fit.eta[0] / fit.se_robust[0] > 3
+        assert fit.eta[0] / np.sqrt(_jackknife_cov(data, fit.eta)[0, 0]) > 3
 
     def test_weibull_ph_recovers_parameters_without_frailty(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.30, gamma=0.0,
                              sigma_u2=1e-12, n_subjects=800)
         panel = simulate_panel(cfg, 31)
-        lam, p, beta, ok = fit_weibull_ph(panel.gap_records)
+        lam, p, beta, ok = fit_weibull_ph(_CoxData.from_panel(panel))
         assert ok
         assert lam == pytest.approx(0.30, rel=0.1)
         assert p == pytest.approx(1.05, rel=0.05)
