@@ -106,13 +106,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.dump_loglik and args.model != "A":
+        raise ConfigError("--dump-loglik applies to model A only")
     panel = read_panel_csv(args.panel)
     options = JointFitOptions(order=args.gh_order, adaptive=not args.nonadaptive_quadrature)
     result = fit_model(panel, args.model, options)
     result.write_json(args.out)
     if args.dump_loglik:
-        if args.model != "A":
-            raise ConfigError("--dump-loglik applies to model A only")
         params = JointParams.from_natural(dict(zip(result.param_names, result.estimates)))
         rule = QuadratureRule.gauss_hermite(args.gh_order)
         lines = ["subject_id,loglik"]

@@ -128,8 +128,13 @@ def draw_weibull_gap(u01, lam: float, p: float, linpred) -> float | np.ndarray:
         raise ValueError("u01 must lie strictly inside (0, 1)")
     if lam <= 0 or p <= 0:
         raise ValueError("lam and p must be > 0")
-    out = (-np.log(u01) / (lam * np.exp(linpred))) ** (1.0 / p)
+    out = _weibull_gap(u01, lam * np.exp(linpred), 1.0 / p)
     return float(out) if out.ndim == 0 else out
+
+
+def _weibull_gap(u01, scale, inv_p):
+    """``draw_weibull_gap`` without its checks, for ``scale = lam * exp(linpred)``, ``inv_p = 1 / p``."""
+    return (-np.log(u01) / scale) ** inv_p
 
 
 def weibull_cumulative_hazard(t, lam: float, p: float, linpred=0.0):
@@ -189,7 +194,8 @@ def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, si
     z, u, v, c = _subject_draws(rng, config)
     sig_e = math.sqrt(config.sigma_e2)
     u_term = config.gamma * u
-    linpred = config.beta * z + u
+    scale = config.weibull_scale * np.exp(config.beta * z + u)
+    inv_p = 1.0 / config.weibull_shape
 
     times = [0.0]
     ys = [_outcome(config, z, 0.0, u_term, v, rng.normal(0.0, sig_e))]
@@ -198,8 +204,9 @@ def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, si
     pending: float | None = None  # absolute time of the pending process visit (additive mode)
     while True:
         if pending is None:
-            gap = draw_weibull_gap(_u01_open(rng), config.weibull_scale, config.weibull_shape, linpred)
-            pending = t + gap
+            # numpy scalars, not math: math.log/exp and float ** round differently,
+            # and the panel must keep draw_weibull_gap's bits
+            pending = t + float(_weibull_gap(_u01_open(rng), scale, inv_p))
         t_next = pending
         if config.regular_visits:
             # next scheduled time strictly after the current visit

@@ -163,7 +163,9 @@ def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fit = fit_model(panel, label, study.joint_options)
-        except EstimationError:
+        except (EstimationError, ValueError, ArithmeticError):
+            # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
+            # ArithmeticError): record this model as not converged and go on with the study
             fit = None
         names = _MODEL_PARAMS[label]
         if fit is not None and fit.converged:

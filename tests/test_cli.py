@@ -96,6 +96,17 @@ class TestFitCommand:
         total = sum(float(line.split(",")[1]) for line in lines[1:])
         assert total == pytest.approx(data["loglik"], abs=1e-6)
 
+    def test_dump_loglik_other_model_rejected_before_output(self, panel_path, tmp_path, capsys):
+        out = tmp_path / "fit_B.json"
+        dump = tmp_path / "contribs.csv"
+        capsys.readouterr()
+        rc = main(["fit", "--panel", panel_path, "--model", "B", "--out", str(out),
+                   "--dump-loglik", str(dump)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("visitsim: error: --dump-loglik applies to model A only")
+        assert not out.exists()
+        assert not dump.exists()
+
 
 class TestBadNumericOptions:
     @pytest.mark.parametrize("argv, message", [

@@ -31,10 +31,41 @@ class TestDrawWeibullGap:
             cumhaz = lam * t**p * math.exp(lin)
             assert abs(cumhaz + math.log(u)) < 1e-12 * max(1.0, abs(math.log(u)))
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, math.nan, math.inf, -math.inf])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             draw_weibull_gap(bad, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            draw_weibull_gap(np.array([0.5, bad]), 1.0, 1.0, 0.0)
+
+    def test_simulation_loop_gaps_equal_scalar_draws_bit_for_bit(self):
+        # replay each subject's stream in the documented draw order, drawing every
+        # gap with the public scalar function: the loop's visit times must be the
+        # same bits (it forms lam * exp(linpred) and 1/p once and skips the checks)
+        rng = np.random.default_rng(20240)
+        n_gaps = 0
+        for k in range(40):
+            cfg = ScenarioConfig(family="joint_model", n_subjects=40,
+                                 weibull_scale=float(np.exp(rng.uniform(np.log(0.05), np.log(1.0)))),
+                                 weibull_shape=float(rng.uniform(0.5, 3.0)),
+                                 beta=float(rng.normal(0.0, 1.0)), sigma_u2=float(rng.uniform(0.2, 2.0)))
+            panel = simulate_joint_model(cfg, k)
+            for s, sub_rng in zip(panel.subjects, _subject_rngs(k, cfg.n_subjects), strict=True):
+                z = 1 if sub_rng.random() < 0.5 else 0
+                u = sub_rng.normal(0.0, math.sqrt(cfg.sigma_u2))
+                sub_rng.normal(0.0, math.sqrt(cfg.sigma_v2))
+                c = sub_rng.uniform(cfg.censoring_lower, cfg.censoring_upper)
+                times = [0.0]
+                while True:
+                    sub_rng.normal(0.0, math.sqrt(cfg.sigma_e2))  # outcome noise of the last visit
+                    t = times[-1] + draw_weibull_gap(sub_rng.random(), cfg.weibull_scale,
+                                                     cfg.weibull_shape, cfg.beta * z + u)
+                    n_gaps += 1
+                    if t >= c:
+                        break
+                    times.append(t)
+                assert s.visit_times.tolist() == times
+        assert n_gaps >= 10_000, n_gaps
 
     def test_ks_against_analytic_cdf(self):
         # simulated gaps with z=0, u=0 follow the analytic Weibull law

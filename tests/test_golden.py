@@ -1,7 +1,9 @@
 """Golden outputs: SHA-256 digests of the simulated panel CSV and of a
 3-replication study's estimates.csv for every shipped preset, each at the
 preset's own seed, and of the ``diagnose --permutations 99`` JSON for the
-simulated panels of three presets.
+simulated panels of three presets.  One more panel digest covers the
+additive scheduled-visit mode (``regular_resets_process = false``), which
+no preset reaches.
 
 A refactor that is meant to leave the numbers alone must leave these
 digests alone.  A change that moves results on purpose updates the table
@@ -26,6 +28,19 @@ PANEL_SHA256 = {
     "jm_g15_l100": "450fa16906633e7e34070929df4c16352514709151789751a3c91d6404b93b40",
     "jm_g30_l005_regular": "4a8ff4b45b35ebe915b9b8bf5ca5389bd9482ffc7477a26835f6dc48560e99df",
 }
+
+# jm_g30_l005_regular with the process clock kept across scheduled visits
+ADDITIVE_CFG = """\
+[scenario]
+family = joint_model
+weibull_scale = 0.05
+gamma = 3.0
+regular_visits = true
+regular_resets_process = false
+seed = 230005
+tag = jm_g30_l005_additive
+"""
+ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
     "gamma_psi0": "51745edc626379b9285720142c6b638065c54cdf648d1200c81d58f750af4436",
@@ -81,6 +96,12 @@ def _preset_seed(monkeypatch):
 @pytest.mark.parametrize("preset", cli.PRESETS)
 def test_panel_csv(preset, tmp_path):
     assert panel_digest(preset, tmp_path) == PANEL_SHA256[preset]
+
+
+def test_additive_regular_visits_panel_csv(tmp_path):
+    cfg = tmp_path / "additive.cfg"
+    cfg.write_text(ADDITIVE_CFG)
+    assert panel_digest(str(cfg), tmp_path) == ADDITIVE_PANEL_SHA256
 
 
 @pytest.mark.parametrize("preset", cli.PRESETS)

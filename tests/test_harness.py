@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from visitsim import harness
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
@@ -58,6 +59,32 @@ class TestRunStudy:
         assert path.read_text().splitlines()[0] == "scenario,rep,model,param,est,se,converged"
         back = EstimatesTable.read_csv(path)
         assert back.to_csv_text() == table.to_csv_text()
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("singular matrix"),
+                                       ValueError("overflow in exp(log_lambda)"),
+                                       FloatingPointError("invalid value")],
+                             ids=["LinAlgError", "ValueError", "FloatingPointError"])
+    def test_failed_fit_recorded_not_fatal(self, monkeypatch, error):
+        study = small_study(models=("D", "E"), reps=3)
+        expected = run_study(study).to_csv_text().splitlines()
+        real_fit_model = harness.fit_model
+        calls = []
+
+        def fit_model(panel, label, joint_options=None):
+            calls.append(label)
+            if len(calls) == 4:  # threads=1: replication 2, model E
+                raise error
+            return real_fit_model(panel, label, joint_options)
+
+        monkeypatch.setattr(harness, "fit_model", fit_model)
+        lines = run_study(study).to_csv_text().splitlines()
+        assert len(calls) == 6
+        # the failed model's rows are empty and not converged; every other row is unchanged
+        assert len(lines) == len(expected)
+        differing = [(a, b) for a, b in zip(lines, expected) if a != b]
+        tag = study.scenario.label
+        assert [a for a, _ in differing] == [f"{tag},2,E,{name},,,0" for name in ("alpha0", "alpha1", "alpha2")]
+        assert all(b.startswith(f"{tag},2,E,") and b.endswith(",1") for _, b in differing)
 
     @pytest.mark.parametrize("row, message", [
         ("s,1,D,alpha1", "expected 7 fields, got 4"),

@@ -72,9 +72,14 @@ class TestFit:
         data = cox_data([rec(1, 1, 1.0, True, 1.0), rec(1, 2, 3.0, False, 1.0),
                          rec(2, 1, 2.0, True, 0.0), rec(2, 2, 0.5, True, 0.0)])
         fit = fit_andersen_gill(data)
-        grid = np.linspace(fit.eta[0] - 0.5, fit.eta[0] + 0.5, 200001)
-        lls = [cox_partial_loglik([e], data)[0] for e in grid]
-        assert fit.eta[0] == pytest.approx(grid[int(np.argmax(lls))], abs=1e-6)
+        # the AG partial log-likelihood is concave, so the maximum lies within one
+        # step of the coarse grid's argmax; the fine grid's step is 5e-7
+        coarse = np.linspace(fit.eta[0] - 0.5, fit.eta[0] + 0.5, 2001)
+        best = coarse[int(np.argmax([cox_partial_loglik([e], data)[0] for e in coarse]))]
+        step = coarse[1] - coarse[0]
+        fine = np.linspace(best - step, best + step, 2001)
+        lls = [cox_partial_loglik([e], data)[0] for e in fine]
+        assert fit.eta[0] == pytest.approx(fine[int(np.argmax(lls))], abs=1e-6)
         assert fit.converged
 
     def test_gradient_small_and_hessian_negative_definite(self):
