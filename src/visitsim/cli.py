@@ -28,7 +28,7 @@ from .domain import read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
                       fit_model, run_study, summarize)
-from .jointfit import JointFitOptions, JointParams, QuadratureRule, subject_log_contributions
+from .jointfit import JointParams, QuadratureRule, subject_log_contributions
 
 PRESETS = (
     "gamma_psi0", "gamma_psi2", "gamma_lagy",
@@ -109,15 +109,13 @@ def _cmd_fit(args) -> int:
     if args.dump_loglik and args.model != "A":
         raise ConfigError("--dump-loglik applies to model A only")
     panel = read_panel_csv(args.panel)
-    options = JointFitOptions(order=args.gh_order, adaptive=not args.nonadaptive_quadrature)
-    result = fit_model(panel, args.model, options)
+    result = fit_model(panel, args.model, args.gh_order)
     result.write_json(args.out)
     if args.dump_loglik:
         params = JointParams.from_natural(dict(zip(result.param_names, result.estimates)))
         rule = QuadratureRule.gauss_hermite(args.gh_order)
         lines = ["subject_id,loglik"]
-        for sid, value in subject_log_contributions(params, panel, rule,
-                                                    adaptive=not args.nonadaptive_quadrature):
+        for sid, value in subject_log_contributions(params, panel, rule):
             lines.append(f"{sid},{value!r}")
         write_atomic(args.dump_loglik, "\n".join(lines) + "\n")
     status = "converged" if result.converged else "DID NOT CONVERGE"
@@ -137,7 +135,7 @@ def _cmd_run_study(args) -> int:
         replications=reps,
         master_seed=config.seed,
         threads=args.threads,
-        joint_options=JointFitOptions(order=args.gh_order, adaptive=not args.nonadaptive_quadrature),
+        gh_order=args.gh_order,
     )
     table = run_study(study)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -213,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="master seed override (fallback: VISITSIM_SEED, then the config)")
 
     def add_quadrature(p):
-        p.add_argument("--gh-order", type=int, default=25, help="Gauss-Hermite order (default 25)")
-        p.add_argument("--nonadaptive-quadrature", action="store_true",
-                       help="place quadrature nodes on the frailty prior instead of per-subject modes "
-                            "(not converged at order 25: estimates move with --gh-order)")
+        p.add_argument("--gh-order", type=int, default=25,
+                       help="nodes of model A's adaptive Gauss-Hermite rule, at least 3 (default 25)")
 
     p = sub.add_parser("simulate", help="generate one panel CSV from a scenario config",
                        epilog=CONFIG_SCHEMA_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -214,8 +214,8 @@ def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, si
             sched = k * interval
             if sched < t_next:
                 t_next = sched
-        if t_next >= c:
-            break
+        if t_next >= c or t_next <= t:
+            break  # censored, or a gap too small to advance the clock
         if config.regular_visits and t_next < pending and config.regular_resets_process:
             pending = None  # scheduled visit fired: discard the pending draw, clock restarts
         elif t_next == pending:
@@ -248,7 +248,13 @@ def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, si
 
 
 def simulate_joint_model(config: ScenarioConfig, seed) -> PanelDataset:
-    """Generate a panel from the shared-frailty joint model."""
+    """Generate a panel from the shared-frailty joint model.
+
+    A subject's visits end at the censoring time, or earlier at a drawn gap
+    too small to advance the visit clock (it can round to zero under a large
+    visit intensity and a small Weibull shape), as the Gamma families' visits
+    end at a gap drawn as zero.
+    """
     if config.family is not Family.JOINT_MODEL:
         raise ConfigError(f"simulate_joint_model requires the joint_model family, got {config.family.value}")
     rngs = _subject_rngs(seed, config.n_subjects)

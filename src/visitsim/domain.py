@@ -151,6 +151,10 @@ class PanelDataset:
     def n_rows(self) -> int:
         return len(self.t)
 
+    def group_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-subject sums of a per-row (equivalently, per-gap) array."""
+        return np.add.reduceat(values, self.starts)
+
     @functools.cached_property
     def gap_records(self) -> tuple[GapRecord, ...]:
         """The gaps as one validated record per gap, built on first access."""

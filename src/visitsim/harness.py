@@ -12,7 +12,7 @@ import concurrent.futures
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
@@ -22,7 +22,7 @@ from .dgm import ScenarioConfig, simulate_panel
 from .domain import FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
-from .jointfit import JointFitOptions, fit_joint
+from .jointfit import _check_order, fit_joint
 from .lmm import Adjustment, LmmSpec, fit_lmm
 from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
@@ -53,13 +53,14 @@ class StudyConfig:
     replications: int = 200
     master_seed: int | None = None
     threads: int | None = None
-    joint_options: JointFitOptions = field(default_factory=JointFitOptions)
+    gh_order: int = 25
 
     def __post_init__(self):
         if self.replications < 2:
             raise ValidationError("a study needs at least 2 replications")
         if self.threads is not None and self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
+        _check_order(self.gh_order)
         models = tuple(self.models)
         if not models:
             raise ValidationError("a study needs at least one model")
@@ -141,12 +142,15 @@ class EstimatesTable:
         return cls(rows)
 
 
-def fit_model(panel: PanelDataset, label: str, joint_options: JointFitOptions | None = None) -> FitResult:
-    """Dispatch a panel to the estimator for one of the five model labels."""
+def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
+    """Dispatch a panel to the estimator for one of the five model labels.
+
+    ``gh_order`` is the quadrature order of model A; the other models ignore it.
+    """
     if label in _LMM_SPECS:
         return fit_lmm(panel, _LMM_SPECS[label])
     if label == "A":
-        return fit_joint(panel, joint_options)
+        return fit_joint(panel, gh_order)
     if label == "E":
         return fit_iivw(panel)
     raise ValidationError(f"unknown model label {label!r}")
@@ -162,7 +166,7 @@ def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = fit_model(panel, label, study.joint_options)
+                fit = fit_model(panel, label, study.gh_order)
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study

@@ -5,9 +5,8 @@ lam * p * t**(p-1) * exp(beta*z + u); the longitudinal submodel is
 y = alpha0 + alpha1*z + alpha2*t + gamma*u + v + eps.  The subject-level
 random intercept v is integrated out analytically (rank-one Gaussian
 identity), so the marginal likelihood needs only a one-dimensional
-Gauss-Hermite integral over the shared frailty u.  By default the rule is
-recentred and rescaled at the mode of each subject's integrand (adaptive
-quadrature); the raw rule placed on the prior is available as an option.
+Gauss-Hermite integral over the shared frailty u.  The rule is recentred and
+rescaled at the mode of each subject's integrand (adaptive quadrature).
 
 All per-subject quantities reduce to scalars, so one likelihood evaluation
 costs O(total rows + subjects * quadrature order).
@@ -23,8 +22,8 @@ import scipy.optimize
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
-from .lmm import (LOG_2PI, Adjustment, LmmSpec, _newton_polish, _se_from_information, fit_lmm,
-                  lmm_loglik)
+from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, LmmSpec, _fit_result, _newton_polish,
+                  _observed_information, _se_from_information, fit_lmm, lmm_loglik)
 from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
@@ -118,13 +117,9 @@ class _JointData:
     def __init__(self, panel: PanelDataset):
         self.panel = panel
         self.log_gaps = np.log(panel.gaps)
-        self.sum_t = self.group_sum(panel.t)
-        self.events = self.group_sum(panel.observed.astype(float))
-        self.sum_d_logt = self.group_sum(np.where(panel.observed, self.log_gaps, 0.0))
-
-    def group_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-subject sums of a per-row (equivalently, per-gap) array."""
-        return np.add.reduceat(values, self.panel.starts)
+        self.sum_t = panel.group_sum(panel.t)
+        self.events = panel.group_sum(panel.observed.astype(float))
+        self.sum_d_logt = panel.group_sum(np.where(panel.observed, self.log_gaps, 0.0))
 
 
 def _find_modes(b, w, lam_eff):
@@ -140,8 +135,7 @@ def _find_modes(b, w, lam_eff):
     return u
 
 
-def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
-              adaptive: bool, want_grad: bool):
+def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule, want_grad: bool):
     """Log likelihood (and gradient) at ``theta`` = JointParams.to_vector() layout."""
     (beta, log_lam, log_p, a0, a1, a2, gamma, log_su, log_sv, log_se) = theta
     lam, p = np.exp(log_lam), np.exp(log_p)
@@ -151,12 +145,12 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
 
     with np.errstate(over="ignore", invalid="ignore"):
         tp = panel.gaps**p
-        T_p = data.group_sum(tp)
+        T_p = panel.group_sum(tp)
         lam_eff = lam * np.exp(beta * zi) * T_p  # Lambda_i: cumulative hazard factor at u=0
 
         r0 = panel.y - (a0 + a1 * panel.z_rows + a2 * panel.t)
-        s = data.group_sum(r0)
-        q = data.group_sum(r0 * r0)
+        s = panel.group_sum(r0)
+        q = panel.group_sum(r0 * r0)
         a = se2 + n * sv2
         Q0 = (q - sv2 * s * s / a) / se2
 
@@ -167,12 +161,8 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
              - 0.5 * (n * LOG_2PI + (n - 1.0) * np.log(se2) + np.log(a) + Q0)
              - 0.5 * (LOG_2PI + 2.0 * log_su))
 
-        if adaptive:
-            m = _find_modes(b, w, lam_eff)
-            scale = 1.0 / np.sqrt(lam_eff * np.exp(m) + w)
-        else:
-            m = np.zeros(panel.n_subjects)
-            scale = np.full(panel.n_subjects, np.sqrt(su2))
+        m = _find_modes(b, w, lam_eff)
+        scale = 1.0 / np.sqrt(lam_eff * np.exp(m) + w)
 
         U = m[:, None] + scale[:, None] * rule.nodes[None, :]
         expU = np.exp(U)
@@ -190,7 +180,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
         pk = np.exp(arg - amax[:, None]) / sumexp[:, None]   # posterior node weights
 
         st = data.sum_t
-        TPL = data.group_sum(tp * data.log_gaps)
+        TPL = panel.group_sum(tp * data.log_gaps)
         lamU = lam_eff[:, None] * expU
 
         d_beta = zi[:, None] * (E[:, None] - lamU)
@@ -198,7 +188,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
         d_logp = (E + p * data.sum_d_logt)[:, None] - (lam * np.exp(beta * zi) * p * TPL)[:, None] * expU
 
         one_r = (s[:, None] - gamma * U * n[:, None]) / a[:, None]     # 1' Sigma^-1 r
-        tr0 = data.group_sum(panel.t * r0)
+        tr0 = panel.group_sum(panel.t * r0)
         xr = [s, zi * s, tr0]                                           # X' r0 components
         x1 = [n, zi * n, st]                                            # X' 1 components
         d_alpha = [
@@ -214,11 +204,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule,
         d_logse = se2 * (quad2 - tr_inv)                               # 2*sigma_e2 * dB/dsigma_e2
         d_logsv = sv2 * (one_r**2 - (n / a)[:, None])
 
-        if adaptive:
-            d_logsu = U * U / su2 - 1.0
-        else:
-            hprime = b[:, None] - lamU - w[:, None] * U
-            d_logsu = (U * U / su2 - 1.0) + hprime * U + 1.0
+        d_logsu = U * U / su2 - 1.0
 
         parts = [d_beta, d_loglam, d_logp, d_alpha[0], d_alpha[1], d_alpha[2],
                  d_gamma, d_logsu, d_logsv, d_logse]
@@ -230,12 +216,11 @@ def _check_rule(rule: QuadratureRule | None) -> QuadratureRule:
     return rule if rule is not None else QuadratureRule.gauss_hermite(25)
 
 
-def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule | None = None,
-                 adaptive: bool = True) -> float:
+def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule | None = None) -> float:
     """Marginal joint log likelihood, frailty integrated by Gauss-Hermite."""
     data = _JointData(panel)
     rule = _check_rule(rule)
-    loglik, contrib, _ = _evaluate(params.to_vector(), data, rule, adaptive, want_grad=False)
+    loglik, contrib, _ = _evaluate(params.to_vector(), data, rule, want_grad=False)
     if not np.all(np.isfinite(contrib)):
         bad = int(data.panel.ids[int(np.nonzero(~np.isfinite(contrib))[0][0])])
         raise EstimationError(f"non-finite likelihood contribution for subject {bad}")
@@ -243,52 +228,36 @@ def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule 
 
 
 def joint_loglik_gradient(params: JointParams, panel: PanelDataset,
-                          rule: QuadratureRule | None = None, adaptive: bool = True) -> np.ndarray:
+                          rule: QuadratureRule | None = None) -> np.ndarray:
     """Gradient of the joint log likelihood in the JointParams vector layout."""
     data = _JointData(panel)
-    _, _, grad = _evaluate(params.to_vector(), data, _check_rule(rule), adaptive, want_grad=True)
+    _, _, grad = _evaluate(params.to_vector(), data, _check_rule(rule), want_grad=True)
     return grad
 
 
 def subject_log_contributions(params: JointParams, panel: PanelDataset,
-                              rule: QuadratureRule | None = None, adaptive: bool = True):
+                              rule: QuadratureRule | None = None):
     """Per-subject log likelihood contributions, as (subject_id, value) pairs."""
     data = _JointData(panel)
-    _, contrib, _ = _evaluate(params.to_vector(), data, _check_rule(rule), adaptive, want_grad=False)
+    _, contrib, _ = _evaluate(params.to_vector(), data, _check_rule(rule), want_grad=False)
     return list(zip((int(i) for i in panel.ids), (float(v) for v in contrib)))
 
 
 def recurrent_frailty_loglik(beta: float, lam: float, p: float, sigma_u2: float,
-                             panel: PanelDataset, rule: QuadratureRule | None = None,
-                             adaptive: bool = True) -> float:
+                             panel: PanelDataset, rule: QuadratureRule | None = None) -> float:
     """Log likelihood of the Weibull recurrent submodel alone (frailty integrated out)."""
     data = _JointData(panel)
     rule = _check_rule(rule)
     theta = JointParams(beta, np.log(lam), np.log(p), 0.0, 0.0, 0.0, 0.0,
                         0.5 * np.log(sigma_u2), 0.0, 0.0).to_vector()
     # run the full evaluation, then subtract the longitudinal factor at gamma=0
-    loglik, _, _ = _evaluate(theta, data, rule, adaptive, want_grad=False)
+    loglik, _, _ = _evaluate(theta, data, rule, want_grad=False)
     return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel, LmmSpec(Adjustment.NONE))
 
 
-@dataclass(frozen=True)
-class JointFitOptions:
-    """Settings of the model A fit.
-
-    ``adaptive=False`` places the nodes on the frailty prior.  That rule is
-    not converged at the default order 25: estimates, gamma-hat above all,
-    still move with ``order`` (by up to 0.10 between 25, 50 and 100 nodes on
-    jm_g15_l030 panels), where the adaptive rule agrees to ~1e-9.
-    """
-
-    order: int = 25
-    adaptive: bool = True
-    max_iter: int = 500
-    gtol: float = 1e-6
-
-    def __post_init__(self):
-        if self.order < 3:
-            raise ValidationError(f"quadrature order must be >= 3, got {self.order}")
+def _check_order(order: int) -> None:
+    if order < 3:
+        raise ValidationError(f"quadrature order must be >= 3, got {order}")
 
 
 def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
@@ -311,47 +280,36 @@ def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
                      np.log(0.5), 0.5 * np.log(sv2), 0.5 * np.log(se2)])
 
 
-def fit_joint(panel: PanelDataset, options: JointFitOptions | None = None) -> FitResult:
-    """Quasi-Newton maximum likelihood fit of the joint model (model A)."""
-    options = options or JointFitOptions()
+def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
+    """Quasi-Newton maximum likelihood fit of the joint model (model A) with an ``order``-node rule."""
+    _check_order(order)
     if panel.n_subjects < 2:
         raise EstimationError("fit_joint needs at least 2 subjects")
     data = _JointData(panel)
     if np.mean(data.events) < 1.0:
         warnings.warn("fewer than one observed gap per subject on average; "
                       "the visit submodel is weakly identified", stacklevel=2)
-    rule = QuadratureRule.gauss_hermite(options.order)
+    rule = QuadratureRule.gauss_hermite(order)
 
     def negloglik(theta):
-        ll, _, grad = _evaluate(theta, data, rule, options.adaptive, want_grad=True)
+        ll, _, grad = _evaluate(theta, data, rule, want_grad=True)
         if not np.isfinite(ll) or grad is None or not np.all(np.isfinite(grad)):
             return np.inf, np.zeros_like(theta)
         return -ll, -grad
 
     theta0 = _starting_theta(panel, data)
     res = scipy.optimize.minimize(negloglik, theta0, jac=True, method="BFGS",
-                                  options={"gtol": options.gtol, "maxiter": options.max_iter})
-    # Newton polish; its observed information is reused for the standard errors
-    theta, fval, grad, info = _newton_polish(negloglik, res.x, res.fun, res.jac, options.gtol, 8, 1e-10)
-
-    converged = bool(np.isfinite(fval) and np.max(np.abs(grad)) < 1e-4)
-    params = JointParams.from_vector(theta)
-    nat = params.natural()
+                                  options={"gtol": GRAD_TOL, "maxiter": MAX_ITER})
+    theta, fval, grad, info = _newton_polish(negloglik, res.x, res.fun, res.jac, GRAD_TOL, 8, 1e-10)
+    nat = JointParams.from_vector(theta).natural()
     estimates = np.array([nat[k] for k in PARAM_NAMES])
 
-    jac = np.array([1.0, nat["lambda"], nat["p"], 1.0, 1.0, 1.0, 1.0,
-                    2.0 * nat["sigma_u2"], 2.0 * nat["sigma_v2"], 2.0 * nat["sigma_e2"]])
-    ses = _se_from_information(info, jac) if converged else None
-    converged = ses is not None
-
-    return FitResult(
-        model_label="A",
-        param_names=PARAM_NAMES,
-        estimates=estimates,
-        std_errors=ses if converged else np.full(len(PARAM_NAMES), np.nan),
-        loglik=float(-fval),
-        converged=converged,
-        iterations=int(res.nit),
-        message="" if converged else f"optimizer: {res.message}; max|grad|={np.max(np.abs(grad)):.2e}",
-    )
-
+    ses = None
+    if np.isfinite(fval) and np.max(np.abs(grad)) < 1e-4:
+        # the polish's last information, when it built one, serves the standard errors
+        if info is None:
+            info = _observed_information(negloglik, theta)
+        jac = np.array([1.0, nat["lambda"], nat["p"], 1.0, 1.0, 1.0, 1.0,
+                        2.0 * nat["sigma_u2"], 2.0 * nat["sigma_v2"], 2.0 * nat["sigma_e2"]])
+        ses = _se_from_information(info, jac)
+    return _fit_result("A", PARAM_NAMES, estimates, ses, res, fval, grad)

@@ -65,20 +65,6 @@ def design_matrix(panel: PanelDataset, spec: LmmSpec) -> np.ndarray:
     return np.column_stack(cols)
 
 
-class _LmmData:
-    """Outcomes, fixed-effects design and per-subject offsets reused across evaluations."""
-
-    def __init__(self, panel: PanelDataset, spec: LmmSpec):
-        self.y = panel.y
-        self.X = design_matrix(panel, spec)
-        self.counts = panel.counts
-        self.starts = panel.starts
-        self.n_rows = panel.n_rows
-
-    def group_sum(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, self.starts)
-
-
 def _check_design(X: np.ndarray, names) -> None:
     scale = np.linalg.norm(X, axis=0)
     scale[scale == 0] = 1.0
@@ -88,14 +74,14 @@ def _check_design(X: np.ndarray, names) -> None:
         raise EstimationError(f"singular design: column {names[bad[0]]!r} is collinear")
 
 
-def _loglik_parts(data: _LmmData, alpha, sigma_v2: float, sigma_e2: float):
+def _loglik_parts(X: np.ndarray, panel: PanelDataset, alpha, sigma_v2: float, sigma_e2: float):
     """Per-subject pieces of the marginal Gaussian log likelihood."""
-    r = data.y - data.X @ np.asarray(alpha, dtype=float)
-    s = data.group_sum(r)                     # per-subject residual sums
-    q = data.group_sum(r * r)                 # per-subject residual sums of squares
-    a = sigma_e2 + data.counts * sigma_v2     # eigenvalue along the ones direction
+    r = panel.y - X @ np.asarray(alpha, dtype=float)
+    s = panel.group_sum(r)                     # per-subject residual sums
+    q = panel.group_sum(r * r)                 # per-subject residual sums of squares
+    a = sigma_e2 + panel.counts * sigma_v2     # eigenvalue along the ones direction
     quad = (q - sigma_v2 * s * s / a) / sigma_e2
-    logdet = (data.counts - 1.0) * np.log(sigma_e2) + np.log(a)
+    logdet = (panel.counts - 1.0) * np.log(sigma_e2) + np.log(a)
     return r, s, a, quad, logdet
 
 
@@ -106,35 +92,35 @@ def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel, spec: LmmSpec | N
     """
     if sigma_v2 <= 0 or sigma_e2 <= 0:
         raise ValueError("variance components must be > 0")
-    data = _LmmData(panel, spec or LmmSpec())
-    if len(alpha) != data.X.shape[1]:
-        raise ValueError(f"alpha must have length {data.X.shape[1]}")
-    _, _, _, quad, logdet = _loglik_parts(data, alpha, sigma_v2, sigma_e2)
-    return float(-0.5 * (data.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad)))
+    X = design_matrix(panel, spec or LmmSpec())
+    if len(alpha) != X.shape[1]:
+        raise ValueError(f"alpha must have length {X.shape[1]}")
+    _, _, _, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
+    return float(-0.5 * (panel.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad)))
 
 
-def _negloglik_and_grad(theta: np.ndarray, data: _LmmData):
+def _negloglik_and_grad(theta: np.ndarray, X: np.ndarray, panel: PanelDataset):
     """Negative log likelihood and gradient in (alpha, log sigma_v, log sigma_e)."""
-    k = data.X.shape[1]
+    k = X.shape[1]
     alpha = theta[:k]
     sigma_v2 = np.exp(2.0 * theta[k])
     sigma_e2 = np.exp(2.0 * theta[k + 1])
 
-    r, s, a, quad, logdet = _loglik_parts(data, alpha, sigma_v2, sigma_e2)
-    loglik = -0.5 * (data.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad))
+    r, s, a, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
+    loglik = -0.5 * (panel.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad))
 
     # d/dalpha: X' Sigma^{-1} r, with Sigma^{-1} r = r/sigma_e2 - (sigma_v2 s / (sigma_e2 a)) 1
-    w = np.repeat(sigma_v2 * s / a, data.counts)
-    g_alpha = data.X.T @ ((r - w) / sigma_e2)
+    w = np.repeat(sigma_v2 * s / a, panel.counts)
+    g_alpha = X.T @ ((r - w) / sigma_e2)
 
     # d/dsigma_v2 = 0.5 * [ (1'Sigma^{-1} r)^2 - tr(Sigma^{-1} J) ] per subject
     sv = s / a
-    d_sv2 = 0.5 * np.sum(sv * sv - data.counts / a)
+    d_sv2 = 0.5 * np.sum(sv * sv - panel.counts / a)
     # d/dsigma_e2 = 0.5 * [ r'Sigma^{-2} r - tr(Sigma^{-1}) ]
-    q = data.group_sum(r * r)
-    r_perp2 = q - s * s / data.counts
-    quad2 = r_perp2 / sigma_e2**2 + (s * s / data.counts) / (a * a)
-    tr = (data.counts - 1.0) / sigma_e2 + 1.0 / a
+    q = panel.group_sum(r * r)
+    r_perp2 = q - s * s / panel.counts
+    quad2 = r_perp2 / sigma_e2**2 + (s * s / panel.counts) / (a * a)
+    tr = (panel.counts - 1.0) / sigma_e2 + 1.0 / a
     d_se2 = 0.5 * np.sum(quad2 - tr)
 
     grad = np.concatenate([g_alpha, [2.0 * sigma_v2 * d_sv2, 2.0 * sigma_e2 * d_se2]])
@@ -171,12 +157,12 @@ def _se_from_information(info: np.ndarray, jacobian: np.ndarray):
     return np.sqrt(d) * jacobian
 
 
-def _starting_values(data: _LmmData) -> np.ndarray:
-    alpha0, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
-    r = data.y - data.X @ alpha0
-    means = data.group_sum(r) / data.counts
-    within = data.group_sum(r * r) - data.counts * means**2
-    dof = max(np.sum(data.counts - 1.0), 1.0)
+def _starting_values(X: np.ndarray, panel: PanelDataset) -> np.ndarray:
+    alpha0, *_ = np.linalg.lstsq(X, panel.y, rcond=None)
+    r = panel.y - X @ alpha0
+    means = panel.group_sum(r) / panel.counts
+    within = panel.group_sum(r * r) - panel.counts * means**2
+    dof = max(np.sum(panel.counts - 1.0), 1.0)
     sigma_e2 = max(np.sum(within) / dof, 1e-4)
     sigma_v2 = max(np.var(means), 1e-4)
     return np.concatenate([alpha0, [0.5 * np.log(sigma_v2), 0.5 * np.log(sigma_e2)]])
@@ -209,8 +195,10 @@ def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
     """Drive the gradient to ~0 from an almost-converged point with value ``f`` and gradient ``g``.
 
     Newton steps on the observed information, halved until ``f`` does not
-    rise.  Returns (theta, f, g, info), with ``info`` the observed
-    information at the returned ``theta``.
+    rise.  Returns (theta, f, g, info).  ``info`` is the observed information
+    the loop built last, or None if it built none after its last accepted
+    step; it is at the returned ``theta`` except after a step smaller than
+    ``step_tol``, where it predates that step.
     """
     info = None
     for _ in range(max_steps):
@@ -234,59 +222,15 @@ def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
         if np.max(np.abs(scale * step)) < step_tol:
             break
         info = None
-    if info is None:
-        info = _observed_information(fun_grad, theta)
     return theta, f, g, info
 
 
-def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
-    """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
-
-    Quasi-Newton on (alpha, log sigma_v, log sigma_e) with the design
-    standardized internally for conditioning, followed by a Newton polish in
-    the reported parameterisation.  Standard errors come from the inverse
-    observed information (finite differences of the analytic gradient).
-    """
-    spec = spec or LmmSpec()
-    if panel.n_subjects < 2:
-        raise EstimationError("fit_lmm needs at least 2 subjects")
-    data = _LmmData(panel, spec)
-    names = spec.param_names
-    _check_design(data.X, names)
-
-    # optimize (and judge convergence) on unit-scale columns; raw count columns
-    # put curvatures of ~1e9 on some axes, where no gradient norm is meaningful
-    data_s = _LmmData.__new__(_LmmData)
-    data_s.__dict__.update(data.__dict__)
-    data_s.X, to_original, k = _standardize(data.X)
-
-    theta0 = _starting_values(data_s)
-    res = scipy.optimize.minimize(
-        _negloglik_and_grad,
-        theta0,
-        args=(data_s,),
-        jac=True,
-        method="BFGS",
-        options={"gtol": GRAD_TOL, "maxiter": MAX_ITER},
-    )
-    fun_grad_s = lambda t: _negloglik_and_grad(t, data_s)  # noqa: E731
-    theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x, res.fun, res.jac, GRAD_TOL, 10, PARAM_TOL)
-    converged = bool(np.max(np.abs(grad)) < 1e-4)
-
-    theta = np.concatenate([to_original(theta_s[:k]), theta_s[k:]])
-    sigma_v2 = float(np.exp(2.0 * theta[k]))
-    sigma_e2 = float(np.exp(2.0 * theta[k + 1]))
-    estimates = np.concatenate([theta[:k], [sigma_v2, sigma_e2]])
-
-    ses = None
-    if converged:
-        info = _observed_information(lambda t: _negloglik_and_grad(t, data), theta)
-        # variance components are reported as sigma^2 = exp(2 theta)
-        ses = _se_from_information(info, np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
+def _fit_result(label: str, names, estimates: np.ndarray, ses, res, fval: float,
+                grad: np.ndarray) -> FitResult:
+    """The FitResult of an optimiser run: converged iff ``ses`` is given, else NaN SEs and why."""
     converged = ses is not None
-
     return FitResult(
-        model_label=spec.model_label,
+        model_label=label,
         param_names=names,
         estimates=estimates,
         std_errors=ses if converged else np.full(len(names), np.nan),
@@ -295,3 +239,45 @@ def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
         iterations=int(res.nit),
         message="" if converged else f"optimizer: {res.message}; max|grad|={np.max(np.abs(grad)):.2e}",
     )
+
+
+def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
+    """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
+
+    Quasi-Newton on (alpha, log sigma_v, log sigma_e), followed by a Newton
+    polish, both on the design standardized internally for conditioning.
+    Standard errors come from the inverse observed information (finite
+    differences of the analytic gradient) in the reported parameterisation.
+    """
+    spec = spec or LmmSpec()
+    if panel.n_subjects < 2:
+        raise EstimationError("fit_lmm needs at least 2 subjects")
+    X = design_matrix(panel, spec)
+    names = spec.param_names
+    _check_design(X, names)
+
+    # optimize (and judge convergence) on unit-scale columns; raw count columns
+    # put curvatures of ~1e9 on some axes, where no gradient norm is meaningful
+    Xs, to_original, k = _standardize(X)
+    res = scipy.optimize.minimize(
+        _negloglik_and_grad,
+        _starting_values(Xs, panel),
+        args=(Xs, panel),
+        jac=True,
+        method="BFGS",
+        options={"gtol": GRAD_TOL, "maxiter": MAX_ITER},
+    )
+    fun_grad_s = lambda t: _negloglik_and_grad(t, Xs, panel)  # noqa: E731
+    theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x, res.fun, res.jac, GRAD_TOL, 10, PARAM_TOL)
+
+    theta = np.concatenate([to_original(theta_s[:k]), theta_s[k:]])
+    sigma_v2 = float(np.exp(2.0 * theta[k]))
+    sigma_e2 = float(np.exp(2.0 * theta[k + 1]))
+    estimates = np.concatenate([theta[:k], [sigma_v2, sigma_e2]])
+
+    ses = None
+    if np.max(np.abs(grad)) < 1e-4:
+        info = _observed_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
+        # variance components are reported as sigma^2 = exp(2 theta)
+        ses = _se_from_information(info, np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
+    return _fit_result(spec.model_label, names, estimates, ses, res, fval, grad)

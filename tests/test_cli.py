@@ -108,6 +108,18 @@ class TestFitCommand:
         assert not dump.exists()
 
 
+    @pytest.mark.parametrize("command", ["fit", "run-study"])
+    def test_nonadaptive_quadrature_flag_is_gone(self, cfg_path, panel_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = (["--panel", panel_path, "--model", "A", "--out", str(out)] if command == "fit"
+                else ["--config", cfg_path, "--reps", "2", "--out-dir", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--nonadaptive-quadrature"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --nonadaptive-quadrature" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBadNumericOptions:
     @pytest.mark.parametrize("argv, message", [
         (["run-study", "--config", "{cfg}", "--reps", "3", "--models", "D", "--threads", "1",
@@ -136,6 +148,18 @@ class TestBadNumericOptions:
 
 
 class TestRunStudyCommand:
+    def test_gaps_that_do_not_advance_the_clock(self, tmp_path):
+        # this scenario draws Weibull gaps that round to zero against the visit time
+        cfg = tmp_path / "zero_gap.cfg"
+        cfg.write_text("[scenario]\nfamily = joint_model\nn_subjects = 200\nweibull_scale = 5.0\n"
+                       "weibull_shape = 0.3\nsigma_u2 = 4.0\nseed = 0\n")
+        out_dir = tmp_path / "study"
+        assert main(["run-study", "--config", str(cfg), "--reps", "2", "--threads", "1",
+                     "--models", "B,C,D,E", "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "estimates.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * (6 + 6 + 5 + 3)
+        assert all(row.endswith(",1") for row in rows)
+
     def test_outputs_and_manifest(self, cfg_path, tmp_path):
         out_dir = tmp_path / "study"
         rc = main(["run-study", "--config", cfg_path, "--reps", "3", "--models", "D,E",

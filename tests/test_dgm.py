@@ -204,6 +204,15 @@ class TestSimulateJointModel:
         additive = simulate_joint_model(ScenarioConfig(**base, regular_resets_process=False), 4)
         assert reset.n_rows != additive.n_rows  # the switch is live
 
+    def test_gap_that_does_not_advance_the_clock_ends_the_subject(self):
+        # a large visit intensity and a small shape draw gaps that round to zero
+        # against the current visit time; the subject's visits end there
+        cfg = ScenarioConfig(family="joint_model", n_subjects=200, weibull_scale=5.0,
+                             weibull_shape=0.3, sigma_u2=4.0)
+        panel = simulate_joint_model(cfg, 0)
+        assert panel.n_subjects == 200
+        assert np.all(panel.gaps > 0.0)
+
     def test_family_guard(self):
         cfg = ScenarioConfig(family="gamma_treatment")
         with pytest.raises(ConfigError):

@@ -3,7 +3,9 @@
 preset's own seed, and of the ``diagnose --permutations 99`` JSON for the
 simulated panels of three presets.  One more panel digest covers the
 additive scheduled-visit mode (``regular_resets_process = false``), which
-no preset reaches.
+no preset reaches.  Three more cover the ``fit`` command on the jm_g15_l030
+panel: model A at ``--gh-order 15`` with its ``--dump-loglik`` CSV, and
+model C.
 
 A refactor that is meant to leave the numbers alone must leave these
 digests alone.  A change that moves results on purpose updates the table
@@ -61,6 +63,12 @@ DIAGNOSE_SHA256 = {
     "jm_g0_l100": "7f886b0723754e2c98729bf5d3286e08e382ac1ad3392d4e412ef8e46c5adab2",
 }
 
+FIT_SHA256 = {
+    "fit_A.json": "6e1e432cff0874693decf518ef9dda2f1f3c5d6575ba7200c928bd58d1b1059e",
+    "loglik_A.csv": "4b14d7b3a143109b783b0cff277a5b326de276c5b828be912c73dfe9c7b367d0",
+    "fit_C.json": "3fd6596f2a0d517dd4b0dcc76ca7e9dd3e0bbfa369a3226c8bb66ccd068e17c1",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -112,3 +120,14 @@ def test_study_estimates_csv(preset, tmp_path):
 @pytest.mark.parametrize("preset", sorted(DIAGNOSE_SHA256))
 def test_diagnose_json(preset, tmp_path):
     assert diagnose_digest(preset, tmp_path) == DIAGNOSE_SHA256[preset]
+
+
+def test_fit_outputs(tmp_path):
+    panel_digest("jm_g15_l030", tmp_path)
+    panel = str(tmp_path / "panel.csv")
+    assert cli.main(["fit", "--panel", panel, "--model", "A", "--gh-order", "15",
+                     "--out", str(tmp_path / "fit_A.json"),
+                     "--dump-loglik", str(tmp_path / "loglik_A.csv")]) == cli.EXIT_OK
+    assert cli.main(["fit", "--panel", panel, "--model", "C",
+                     "--out", str(tmp_path / "fit_C.json")]) == cli.EXIT_OK
+    assert {name: _sha256(tmp_path / name) for name in FIT_SHA256} == FIT_SHA256

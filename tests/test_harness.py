@@ -26,6 +26,8 @@ class TestStudyConfig:
         for threads in (0, -1):
             with pytest.raises(ValidationError, match="threads must be >= 1"):
                 StudyConfig(scenario=small_study().scenario, threads=threads)
+        with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
+            StudyConfig(scenario=small_study().scenario, gh_order=2)
 
 
 class TestRunStudy:
@@ -70,11 +72,11 @@ class TestRunStudy:
         real_fit_model = harness.fit_model
         calls = []
 
-        def fit_model(panel, label, joint_options=None):
+        def fit_model(panel, label, gh_order=25):
             calls.append(label)
             if len(calls) == 4:  # threads=1: replication 2, model E
                 raise error
-            return real_fit_model(panel, label, joint_options)
+            return real_fit_model(panel, label, gh_order)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
         lines = run_study(study).to_csv_text().splitlines()

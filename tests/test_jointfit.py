@@ -3,9 +3,9 @@ import pytest
 
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
-from visitsim.errors import ValidationError
-from visitsim.jointfit import (JointFitOptions, JointParams, QuadratureRule, _JointData,
-                               _evaluate, fit_joint, joint_loglik, joint_loglik_gradient,
+from visitsim.errors import EstimationError, ValidationError
+from visitsim.jointfit import (JointParams, QuadratureRule, _JointData, _evaluate, fit_joint,
+                               joint_loglik, joint_loglik_gradient,
                                recurrent_frailty_loglik, subject_log_contributions)
 from visitsim.lmm import Adjustment, LmmSpec, lmm_loglik
 
@@ -65,9 +65,12 @@ class TestQuadratureRule:
             QuadratureRule.gauss_hermite(2)
 
     def test_fit_options_order_bound(self):
-        JointFitOptions(order=3)
+        panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
         with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
-            JointFitOptions(order=2)
+            fit_joint(panel, order=2)
+        # order 3 passes the check, so the one-subject guard is what stops this fit
+        with pytest.raises(EstimationError, match="at least 2 subjects"):
+            fit_joint(panel, order=3)
 
     def test_normal_moments(self):
         rule = QuadratureRule.gauss_hermite(25)
@@ -121,14 +124,14 @@ class TestLoglik:
         base = typical_params().to_vector()
         for _ in range(10):
             theta = base + rng.normal(0, 0.15, 10)
-            _, _, grad = _evaluate(theta, data, RULE, True, True)
+            _, _, grad = _evaluate(theta, data, RULE, True)
             for j in range(10):
                 h = 1e-6 * (1 + abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (_evaluate(tp, data, RULE, True, False)[0]
-                      - _evaluate(tm, data, RULE, True, False)[0]) / (2 * h)
+                fd = (_evaluate(tp, data, RULE, False)[0]
+                      - _evaluate(tm, data, RULE, False)[0]) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_subject_reordering_invariance(self):
@@ -190,8 +193,8 @@ class TestFit:
         # adaptive 25- and 50-node rules on a preset-sized gamma = 1.5 panel
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.30, gamma=1.5)
         panel = simulate_panel(cfg, 62)
-        fit25 = fit_joint(panel, JointFitOptions(order=25))
-        fit50 = fit_joint(panel, JointFitOptions(order=50))
+        fit25 = fit_joint(panel, order=25)
+        fit50 = fit_joint(panel, order=50)
         assert fit25.converged and fit50.converged
         np.testing.assert_allclose(fit25.estimates, fit50.estimates, rtol=0, atol=1e-6)
 
@@ -203,4 +206,4 @@ class TestFit:
     def test_sparse_panel_warns(self):
         subs = [Subject(i + 1, i % 2, 5.0, [0.0], [0.1 * i]) for i in range(10)]
         with pytest.warns(UserWarning, match="weakly identified"):
-            fit_joint(build_panel(subs), JointFitOptions(order=7))
+            fit_joint(build_panel(subs), order=7)

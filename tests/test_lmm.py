@@ -5,7 +5,7 @@ import scipy.stats
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError
-from visitsim.lmm import (Adjustment, LmmSpec, _LmmData, _negloglik_and_grad, design_matrix,
+from visitsim.lmm import (Adjustment, LmmSpec, _negloglik_and_grad, design_matrix,
                           fit_lmm, lmm_loglik)
 
 
@@ -63,17 +63,17 @@ class TestLoglik:
 
     def test_gradient_matches_finite_differences(self):
         panel = random_panel(n_subjects=8, seed=13)
-        data = _LmmData(panel, LmmSpec(Adjustment.NONE))
+        X = design_matrix(panel, LmmSpec(Adjustment.NONE))
         rng = np.random.default_rng(1)
         for _ in range(10):
             theta = np.concatenate([rng.normal(0, 0.5, 3), rng.normal(0, 0.3, 2)])
-            _, g = _negloglik_and_grad(theta, data)
+            _, g = _negloglik_and_grad(theta, X, panel)
             for j in range(5):
                 h = 1e-6 * (1 + abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (_negloglik_and_grad(tp, data)[0] - _negloglik_and_grad(tm, data)[0]) / (2 * h)
+                fd = (_negloglik_and_grad(tp, X, panel)[0] - _negloglik_and_grad(tm, X, panel)[0]) / (2 * h)
                 assert abs(g[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_model_b_at_zero_alpha3_equals_model_d(self):
@@ -157,3 +157,17 @@ class TestFit:
         check = lmm_loglik(fit.estimates[:4], fit.estimate("sigma_v2"), fit.estimate("sigma_e2"),
                            panel, LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
         assert check == pytest.approx(fit.loglik, abs=1e-6)
+
+    def test_converged_fit_builds_one_information(self, monkeypatch):
+        # the polish builds no information when BFGS already met its gradient
+        # tolerance; the standard errors then need exactly one
+        from visitsim import lmm
+
+        calls = []
+        real = lmm._observed_information
+        monkeypatch.setattr(lmm, "_observed_information",
+                            lambda fun_grad, theta: calls.append(theta) or real(fun_grad, theta))
+        cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=80)
+        fit = fit_lmm(simulate_panel(cfg, 46), LmmSpec(Adjustment.NONE))
+        assert fit.converged
+        assert len(calls) == 1

@@ -10,6 +10,12 @@ def test_star_import_resolves_every_public_name():
     assert len(set(visitsim.__all__)) == len(visitsim.__all__)
 
 
+def test_joint_fit_options_are_gone():
+    # model A's one setting is the quadrature order, passed as fit_joint's ``order``
+    assert "JointFitOptions" not in visitsim.__all__
+    assert not hasattr(visitsim, "JointFitOptions")
+
+
 def test_weight_table_is_gone():
     assert "WeightTable" not in visitsim.__all__
     assert not hasattr(visitsim, "WeightTable")
