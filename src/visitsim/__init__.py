@@ -12,7 +12,7 @@ from .harness import (DatasetDescription, EstimatesTable, InformativenessDiagnos
                       PerformanceTable, StudyConfig, describe_datasets,
                       diagnose_informativeness, fit_model, run_study, summarize)
 from .iivw import compute_iiv_weights, fit_iivw, fit_wgee
-from .jointfit import JointParams, QuadratureRule, fit_joint, joint_loglik, recurrent_frailty_loglik
+from .jointfit import JointParams, fit_joint, joint_loglik, recurrent_frailty_loglik
 from .lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
 from .survfit import CoxFit, cox_partial_loglik, fit_andersen_gill, fit_weibull_ph
 
@@ -20,8 +20,8 @@ __all__ = [
     "__version__",
     "Adjustment", "ConfigError", "CoxFit", "DatasetDescription", "EstimatesTable",
     "EstimationError", "Family", "FitResult", "GapRecord", "InformativenessDiagnostics",
-    "JointParams", "LmmSpec", "PanelDataset", "PerformanceTable",
-    "QuadratureRule", "ScenarioConfig", "StudyConfig", "Subject", "ValidationError",
+    "JointParams", "LmmSpec", "PanelDataset", "PerformanceTable", "ScenarioConfig",
+    "StudyConfig", "Subject", "ValidationError",
     "VisitsimError", "build_panel", "compute_iiv_weights", "cox_partial_loglik",
     "describe_datasets", "diagnose_informativeness", "draw_weibull_gap", "fit_andersen_gill",
     "fit_iivw", "fit_joint", "fit_lmm", "fit_model", "fit_weibull_ph", "fit_wgee",

@@ -28,7 +28,7 @@ from .domain import read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
                       fit_model, run_study, summarize)
-from .jointfit import JointParams, QuadratureRule, subject_log_contributions
+from .jointfit import JointParams, subject_log_contributions
 
 PRESETS = (
     "gamma_psi0", "gamma_psi2", "gamma_lagy",
@@ -113,9 +113,8 @@ def _cmd_fit(args) -> int:
     result.write_json(args.out)
     if args.dump_loglik:
         params = JointParams.from_natural(dict(zip(result.param_names, result.estimates)))
-        rule = QuadratureRule.gauss_hermite(args.gh_order)
         lines = ["subject_id,loglik"]
-        for sid, value in subject_log_contributions(params, panel, rule):
+        for sid, value in subject_log_contributions(params, panel, args.gh_order):
             lines.append(f"{sid},{value!r}")
         write_atomic(args.dump_loglik, "\n".join(lines) + "\n")
     status = "converged" if result.converged else "DID NOT CONVERGE"

@@ -6,7 +6,7 @@ censored at a subject-specific time C.  Gaps are the renewal-scale
 representation of the visit process: the waiting times between consecutive
 visits, plus one final censored gap running from the last visit to C.  A
 panel stacks its subjects' visits and gaps once into flat arrays that every
-estimator reads.
+estimator reads, and checks the subjects on those arrays.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ def _readonly(values) -> np.ndarray:
 class Subject:
     """One study individual: treatment arm, censoring time, visits and outcomes.
 
-    ``visit_times`` must be strictly increasing, start at exactly 0.0 (the
-    baseline observation every individual has), and stay strictly below the
-    censoring time.  ``true_u``/``true_v`` carry the simulated random effects
-    for bookkeeping; they play no role in estimation.
+    A plain record: the ``PanelDataset`` it is built into checks it.  There
+    the visits start at exactly 0.0 (the baseline observation every
+    individual has), increase strictly, and stay strictly below the censoring
+    time.  ``true_u``/``true_v`` carry the simulated random effects for
+    bookkeeping; they play no role in estimation.
     """
 
     id: int
@@ -54,25 +55,6 @@ class Subject:
     def __post_init__(self):
         object.__setattr__(self, "visit_times", _readonly(self.visit_times))
         object.__setattr__(self, "outcomes", _readonly(self.outcomes))
-        t, y = self.visit_times, self.outcomes
-        if self.z not in (0, 1):
-            raise ValidationError(f"subject {self.id}: treatment z must be 0 or 1, got {self.z}")
-        if not np.isfinite(self.censoring_time) or self.censoring_time <= 0:
-            raise ValidationError(f"subject {self.id}: censoring time must be a positive real")
-        if t.ndim != 1 or y.ndim != 1 or len(t) != len(y):
-            raise ValidationError(f"subject {self.id}: visit_times and outcomes must be 1-d and equal length")
-        if len(t) == 0:
-            raise ValidationError(f"subject {self.id}: needs at least the baseline visit")
-        if t[0] != 0.0:
-            raise ValidationError(f"subject {self.id}: first visit must be at t = 0, got {t[0]}")
-        if not np.all(np.diff(t) > 0):
-            raise ValidationError(f"subject {self.id}: visit times must be finite and strictly increasing")
-        if t[-1] >= self.censoring_time:
-            raise ValidationError(
-                f"subject {self.id}: visit at t = {t[-1]} is not before censoring time {self.censoring_time}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValidationError(f"subject {self.id}: outcomes must be finite")
 
     @property
     def n_visits(self) -> int:
@@ -94,12 +76,6 @@ class GapRecord:
     observed: bool
     covariates: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValidationError(f"subject {self.subject_id}: gap index must be >= 1")
-        if not np.isfinite(self.gap) or self.gap <= 0:
-            raise ValidationError(f"subject {self.subject_id}: gap {self.index} must be a positive real")
-
 
 @dataclass(frozen=True)
 class PanelDataset:
@@ -112,6 +88,9 @@ class PanelDataset:
     arrays ``gaps`` and ``observed`` too: row r's gap starts at visit r, and
     the last row of each block holds the censored gap from the last visit to
     the censoring time.
+
+    Construction is where subjects are checked, one rule at a time over the
+    stacked arrays; a ``ValidationError`` names a subject that breaks the rule.
     """
 
     subjects: tuple[Subject, ...]
@@ -121,22 +100,41 @@ class PanelDataset:
         subjects = tuple(self.subjects)
         if len(subjects) == 0:
             raise ValidationError("panel must contain at least one subject")
+
+        def check(bad, message):
+            """Raise ``message(s)`` for the first subject ``s`` that ``bad`` flags, if any."""
+            if np.any(bad):
+                raise ValidationError(message(subjects[int(np.argmax(bad))]))
+
+        check([s.z not in (0, 1) for s in subjects],
+              lambda s: f"subject {s.id}: treatment z must be 0 or 1, got {s.z}")
+        c = np.array([float(s.censoring_time) for s in subjects])
+        check(~(np.isfinite(c) & (c > 0)), lambda s: f"subject {s.id}: censoring time must be a positive real")
+        check([s.visit_times.ndim != 1 or s.visit_times.shape != s.outcomes.shape for s in subjects],
+              lambda s: f"subject {s.id}: visit_times and outcomes must be 1-d and equal length")
+        counts = np.array([s.n_visits for s in subjects], dtype=np.intp)
+        check(counts == 0, lambda s: f"subject {s.id}: needs at least the baseline visit")
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        last = starts + counts - 1
+        t = np.concatenate([s.visit_times for s in subjects])
+        check(t[starts] != 0.0, lambda s: f"subject {s.id}: first visit must be at t = 0, got {s.visit_times[0]}")
+        gaps = np.empty_like(t)
+        gaps[:-1] = np.diff(t)
+        gaps[last] = c - t[last]
+        observed = np.ones(len(t), dtype=bool)
+        observed[last] = False
+        check(np.logical_or.reduceat(observed & ~(gaps > 0), starts),
+              lambda s: f"subject {s.id}: visit times must be finite and strictly increasing")
+        check(t[last] >= c, lambda s: (f"subject {s.id}: visit at t = {s.visit_times[-1]} "
+                                       f"is not before censoring time {s.censoring_time}"))
+        y = np.concatenate([s.outcomes for s in subjects])
+        check(np.logical_or.reduceat(~np.isfinite(y), starts), lambda s: f"subject {s.id}: outcomes must be finite")
+        z = np.array([float(s.z) for s in subjects])
         ids = np.array([s.id for s in subjects], dtype=np.intp)
         unique, seen = np.unique(ids, return_counts=True)
         if np.any(seen > 1):
             raise ValidationError(f"subject id {int(unique[seen > 1][0])} appears more than once")
-        counts = np.array([s.n_visits for s in subjects], dtype=np.intp)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        z = np.array([float(s.z) for s in subjects])
-        t = np.concatenate([s.visit_times for s in subjects])
-        last = starts + counts - 1
-        gaps = np.empty_like(t)
-        gaps[:-1] = np.diff(t)
-        gaps[last] = np.array([s.censoring_time for s in subjects]) - t[last]
-        observed = np.ones(len(t), dtype=bool)
-        observed[last] = False
-        arrays = dict(ids=ids, z=z, counts=counts, starts=starts, t=t,
-                      y=np.concatenate([s.outcomes for s in subjects]),
+        arrays = dict(ids=ids, z=z, counts=counts, starts=starts, t=t, y=y,
                       z_rows=np.repeat(z, counts), gaps=gaps, observed=observed)
         object.__setattr__(self, "subjects", subjects)
         for name, arr in arrays.items():
@@ -157,7 +155,7 @@ class PanelDataset:
 
     @functools.cached_property
     def gap_records(self) -> tuple[GapRecord, ...]:
-        """The gaps as one validated record per gap, built on first access."""
+        """The gaps as one record per gap, built on first access."""
         index = np.arange(1, self.n_rows + 1) - np.repeat(self.starts, self.counts)
         return tuple(GapRecord(int(sid), int(j), float(g), bool(obs), (float(z),))
                      for sid, j, g, obs, z in zip(np.repeat(self.ids, self.counts), index,
@@ -165,7 +163,7 @@ class PanelDataset:
 
 
 def build_panel(subjects, scenario_tag: str = "") -> PanelDataset:
-    """Assemble a panel from validated subjects, stacking them into flat arrays.
+    """Assemble a panel from subjects, checking them and stacking them into flat arrays.
 
     Each subject contributes one observed gap per post-baseline visit
     (successive differences of visit times) and exactly one censored gap

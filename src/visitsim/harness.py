@@ -22,7 +22,7 @@ from .dgm import ScenarioConfig, simulate_panel
 from .domain import FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
-from .jointfit import _check_order, fit_joint
+from .jointfit import fit_joint, gauss_hermite
 from .lmm import Adjustment, LmmSpec, fit_lmm
 from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
@@ -60,7 +60,7 @@ class StudyConfig:
             raise ValidationError("a study needs at least 2 replications")
         if self.threads is not None and self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
-        _check_order(self.gh_order)
+        gauss_hermite(self.gh_order)  # model A's one check of its quadrature order
         models = tuple(self.models)
         if not models:
             raise ValidationError("a study needs at least one model")
@@ -159,14 +159,18 @@ def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
 def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
     import warnings
 
-    panel = simulate_panel(study.scenario, np.random.SeedSequence(study.seed, spawn_key=(rep,)))
+    try:
+        panel = simulate_panel(study.scenario, np.random.SeedSequence(study.seed, spawn_key=(rep,)))
+    except (ValidationError, ValueError, ArithmeticError):
+        # a panel that could not be simulated: every model of this replication is not converged
+        panel = None
     tag = study.scenario.label
     rows = []
     for label in study.models:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = fit_model(panel, label, study.gh_order)
+                fit = None if panel is None else fit_model(panel, label, study.gh_order)
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study

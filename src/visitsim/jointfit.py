@@ -6,7 +6,9 @@ y = alpha0 + alpha1*z + alpha2*t + gamma*u + v + eps.  The subject-level
 random intercept v is integrated out analytically (rank-one Gaussian
 identity), so the marginal likelihood needs only a one-dimensional
 Gauss-Hermite integral over the shared frailty u.  The rule is recentred and
-rescaled at the mode of each subject's integrand (adaptive quadrature).
+rescaled at the mode of each subject's integrand (adaptive quadrature).  Its
+order is the integer ``order`` (default 25) of every function here, checked
+once, by ``gauss_hermite``.
 
 All per-subject quantities reduce to scalars, so one likelihood evaluation
 costs O(total rows + subjects * quadrature order).
@@ -22,8 +24,8 @@ import scipy.optimize
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
-from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, LmmSpec, _fit_result, _newton_polish,
-                  _observed_information, _se_from_information, fit_lmm, lmm_loglik)
+from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, LmmSpec, _fit_result, _lmm_estimates,
+                  _newton_polish, _observed_information, _se_from_information, lmm_loglik)
 from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
@@ -34,30 +36,12 @@ _MODE_MAX_ITER = 80
 _U_BOUND = 60.0
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for expectations against the standard normal."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if self.order < 3:
-            raise ValueError("quadrature order must be >= 3")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if np.max(np.abs(nodes + nodes[::-1])) > 1e-9:
-            raise ValueError("nodes must be symmetric about 0")
-
-    @classmethod
-    def gauss_hermite(cls, order: int = 25) -> "QuadratureRule":
-        x, w = np.polynomial.hermite.hermgauss(order)
-        return cls(order, x * np.sqrt(2.0), w / np.sqrt(np.pi))
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss-Hermite rule for expectations against N(0, 1)."""
+    if order < 3:
+        raise ValidationError(f"quadrature order must be >= 3, got {order}")
+    x, w = np.polynomial.hermite.hermgauss(order)
+    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -112,9 +96,10 @@ class JointParams:
 
 
 class _JointData:
-    """A panel plus the per-subject aggregates of its gaps and times that the likelihood reuses."""
+    """A panel, an ``order``-node quadrature rule, and the per-subject aggregates the likelihood reuses."""
 
-    def __init__(self, panel: PanelDataset):
+    def __init__(self, panel: PanelDataset, order: int):
+        self.nodes, self.weights = gauss_hermite(order)
         self.panel = panel
         self.log_gaps = np.log(panel.gaps)
         self.sum_t = panel.group_sum(panel.t)
@@ -135,7 +120,7 @@ def _find_modes(b, w, lam_eff):
     return u
 
 
-def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule, want_grad: bool):
+def _evaluate(theta: np.ndarray, data: _JointData, want_grad: bool):
     """Log likelihood (and gradient) at ``theta`` = JointParams.to_vector() layout."""
     (beta, log_lam, log_p, a0, a1, a2, gamma, log_su, log_sv, log_se) = theta
     lam, p = np.exp(log_lam), np.exp(log_p)
@@ -164,10 +149,10 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule, want_gr
         m = _find_modes(b, w, lam_eff)
         scale = 1.0 / np.sqrt(lam_eff * np.exp(m) + w)
 
-        U = m[:, None] + scale[:, None] * rule.nodes[None, :]
+        U = m[:, None] + scale[:, None] * data.nodes[None, :]
         expU = np.exp(U)
         h = (c[:, None] + b[:, None] * U - lam_eff[:, None] * expU - 0.5 * w[:, None] * U * U)
-        arg = np.log(rule.weights)[None, :] + 0.5 * rule.nodes[None, :] ** 2 + h
+        arg = np.log(data.weights)[None, :] + 0.5 * data.nodes[None, :] ** 2 + h
         amax = np.max(arg, axis=1)
         sumexp = np.sum(np.exp(arg - amax[:, None]), axis=1)
         contrib = np.log(scale) + 0.5 * LOG_2PI + amax + np.log(sumexp)
@@ -212,60 +197,45 @@ def _evaluate(theta: np.ndarray, data: _JointData, rule: QuadratureRule, want_gr
     return loglik, contrib, grad
 
 
-def _check_rule(rule: QuadratureRule | None) -> QuadratureRule:
-    return rule if rule is not None else QuadratureRule.gauss_hermite(25)
-
-
-def joint_loglik(params: JointParams, panel: PanelDataset, rule: QuadratureRule | None = None) -> float:
-    """Marginal joint log likelihood, frailty integrated by Gauss-Hermite."""
-    data = _JointData(panel)
-    rule = _check_rule(rule)
-    loglik, contrib, _ = _evaluate(params.to_vector(), data, rule, want_grad=False)
+def joint_loglik(params: JointParams, panel: PanelDataset, order: int = 25) -> float:
+    """Marginal joint log likelihood, frailty integrated by ``order``-node Gauss-Hermite."""
+    data = _JointData(panel, order)
+    loglik, contrib, _ = _evaluate(params.to_vector(), data, want_grad=False)
     if not np.all(np.isfinite(contrib)):
         bad = int(data.panel.ids[int(np.nonzero(~np.isfinite(contrib))[0][0])])
         raise EstimationError(f"non-finite likelihood contribution for subject {bad}")
     return loglik
 
 
-def joint_loglik_gradient(params: JointParams, panel: PanelDataset,
-                          rule: QuadratureRule | None = None) -> np.ndarray:
+def joint_loglik_gradient(params: JointParams, panel: PanelDataset, order: int = 25) -> np.ndarray:
     """Gradient of the joint log likelihood in the JointParams vector layout."""
-    data = _JointData(panel)
-    _, _, grad = _evaluate(params.to_vector(), data, _check_rule(rule), want_grad=True)
+    _, _, grad = _evaluate(params.to_vector(), _JointData(panel, order), want_grad=True)
     return grad
 
 
-def subject_log_contributions(params: JointParams, panel: PanelDataset,
-                              rule: QuadratureRule | None = None):
+def subject_log_contributions(params: JointParams, panel: PanelDataset, order: int = 25):
     """Per-subject log likelihood contributions, as (subject_id, value) pairs."""
-    data = _JointData(panel)
-    _, contrib, _ = _evaluate(params.to_vector(), data, _check_rule(rule), want_grad=False)
+    _, contrib, _ = _evaluate(params.to_vector(), _JointData(panel, order), want_grad=False)
     return list(zip((int(i) for i in panel.ids), (float(v) for v in contrib)))
 
 
 def recurrent_frailty_loglik(beta: float, lam: float, p: float, sigma_u2: float,
-                             panel: PanelDataset, rule: QuadratureRule | None = None) -> float:
+                             panel: PanelDataset, order: int = 25) -> float:
     """Log likelihood of the Weibull recurrent submodel alone (frailty integrated out)."""
-    data = _JointData(panel)
-    rule = _check_rule(rule)
     theta = JointParams(beta, np.log(lam), np.log(p), 0.0, 0.0, 0.0, 0.0,
                         0.5 * np.log(sigma_u2), 0.0, 0.0).to_vector()
     # run the full evaluation, then subtract the longitudinal factor at gamma=0
-    loglik, _, _ = _evaluate(theta, data, rule, want_grad=False)
+    loglik, _, _ = _evaluate(theta, _JointData(panel, order), want_grad=False)
     return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel, LmmSpec(Adjustment.NONE))
-
-
-def _check_order(order: int) -> None:
-    if order < 3:
-        raise ValidationError(f"quadrature order must be >= 3, got {order}")
 
 
 def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
     try:
-        lmm_fit = fit_lmm(panel, LmmSpec(Adjustment.NONE))
-        a0, a1, a2 = lmm_fit.estimates[:3]
-        sv2 = max(lmm_fit.estimate("sigma_v2"), 1e-4)
-        se2 = max(lmm_fit.estimate("sigma_e2"), 1e-4)
+        # model D's point estimates; its standard errors are not needed here
+        theta, *_ = _lmm_estimates(panel, LmmSpec(Adjustment.NONE))
+        a0, a1, a2 = theta[:3]
+        sv2 = max(float(np.exp(2.0 * theta[3])), 1e-4)
+        se2 = max(float(np.exp(2.0 * theta[4])), 1e-4)
     except EstimationError:
         a0, a1, a2 = np.mean(panel.y), 0.0, 0.0
         sv2 = se2 = max(np.var(panel.y) / 2.0, 1e-4)
@@ -282,17 +252,15 @@ def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
 
 def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     """Quasi-Newton maximum likelihood fit of the joint model (model A) with an ``order``-node rule."""
-    _check_order(order)
+    data = _JointData(panel, order)
     if panel.n_subjects < 2:
         raise EstimationError("fit_joint needs at least 2 subjects")
-    data = _JointData(panel)
     if np.mean(data.events) < 1.0:
         warnings.warn("fewer than one observed gap per subject on average; "
                       "the visit submodel is weakly identified", stacklevel=2)
-    rule = QuadratureRule.gauss_hermite(order)
 
     def negloglik(theta):
-        ll, _, grad = _evaluate(theta, data, rule, want_grad=True)
+        ll, _, grad = _evaluate(theta, data, want_grad=True)
         if not np.isfinite(ll) or grad is None or not np.all(np.isfinite(grad)):
             return np.inf, np.zeros_like(theta)
         return -ll, -grad

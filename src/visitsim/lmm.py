@@ -82,7 +82,7 @@ def _loglik_parts(X: np.ndarray, panel: PanelDataset, alpha, sigma_v2: float, si
     a = sigma_e2 + panel.counts * sigma_v2     # eigenvalue along the ones direction
     quad = (q - sigma_v2 * s * s / a) / sigma_e2
     logdet = (panel.counts - 1.0) * np.log(sigma_e2) + np.log(a)
-    return r, s, a, quad, logdet
+    return r, s, q, a, quad, logdet
 
 
 def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel, spec: LmmSpec | None = None) -> float:
@@ -95,7 +95,7 @@ def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel, spec: LmmSpec | N
     X = design_matrix(panel, spec or LmmSpec())
     if len(alpha) != X.shape[1]:
         raise ValueError(f"alpha must have length {X.shape[1]}")
-    _, _, _, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
+    *_, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
     return float(-0.5 * (panel.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad)))
 
 
@@ -106,7 +106,7 @@ def _negloglik_and_grad(theta: np.ndarray, X: np.ndarray, panel: PanelDataset):
     sigma_v2 = np.exp(2.0 * theta[k])
     sigma_e2 = np.exp(2.0 * theta[k + 1])
 
-    r, s, a, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
+    r, s, q, a, quad, logdet = _loglik_parts(X, panel, alpha, sigma_v2, sigma_e2)
     loglik = -0.5 * (panel.n_rows * LOG_2PI + np.sum(logdet) + np.sum(quad))
 
     # d/dalpha: X' Sigma^{-1} r, with Sigma^{-1} r = r/sigma_e2 - (sigma_v2 s / (sigma_e2 a)) 1
@@ -117,7 +117,6 @@ def _negloglik_and_grad(theta: np.ndarray, X: np.ndarray, panel: PanelDataset):
     sv = s / a
     d_sv2 = 0.5 * np.sum(sv * sv - panel.counts / a)
     # d/dsigma_e2 = 0.5 * [ r'Sigma^{-2} r - tr(Sigma^{-1}) ]
-    q = panel.group_sum(r * r)
     r_perp2 = q - s * s / panel.counts
     quad2 = r_perp2 / sigma_e2**2 + (s * s / panel.counts) / (a * a)
     tr = (panel.counts - 1.0) / sigma_e2 + 1.0 / a
@@ -241,20 +240,15 @@ def _fit_result(label: str, names, estimates: np.ndarray, ses, res, fval: float,
     )
 
 
-def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
-    """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
+def _lmm_estimates(panel: PanelDataset, spec: LmmSpec):
+    """Point estimates of a random-intercept LMM as (theta, X, optimiser result, fval, grad).
 
-    Quasi-Newton on (alpha, log sigma_v, log sigma_e), followed by a Newton
-    polish, both on the design standardized internally for conditioning.
-    Standard errors come from the inverse observed information (finite
-    differences of the analytic gradient) in the reported parameterisation.
+    ``theta`` is (alpha, log sigma_v, log sigma_e) on the original design ``X``.
     """
-    spec = spec or LmmSpec()
     if panel.n_subjects < 2:
         raise EstimationError("fit_lmm needs at least 2 subjects")
     X = design_matrix(panel, spec)
-    names = spec.param_names
-    _check_design(X, names)
+    _check_design(X, spec.param_names)
 
     # optimize (and judge convergence) on unit-scale columns; raw count columns
     # put curvatures of ~1e9 on some axes, where no gradient norm is meaningful
@@ -269,8 +263,21 @@ def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
     )
     fun_grad_s = lambda t: _negloglik_and_grad(t, Xs, panel)  # noqa: E731
     theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x, res.fun, res.jac, GRAD_TOL, 10, PARAM_TOL)
-
     theta = np.concatenate([to_original(theta_s[:k]), theta_s[k:]])
+    return theta, X, res, fval, grad
+
+
+def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
+    """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
+
+    Quasi-Newton on (alpha, log sigma_v, log sigma_e), followed by a Newton
+    polish, both on the design standardized internally for conditioning.
+    Standard errors come from the inverse observed information (finite
+    differences of the analytic gradient) in the reported parameterisation.
+    """
+    spec = spec or LmmSpec()
+    theta, X, res, fval, grad = _lmm_estimates(panel, spec)
+    k = X.shape[1]
     sigma_v2 = float(np.exp(2.0 * theta[k]))
     sigma_e2 = float(np.exp(2.0 * theta[k + 1]))
     estimates = np.concatenate([theta[:k], [sigma_v2, sigma_e2]])
@@ -280,4 +287,4 @@ def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
         info = _observed_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
         # variance components are reported as sigma^2 = exp(2 theta)
         ses = _se_from_information(info, np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
-    return _fit_result(spec.model_label, names, estimates, ses, res, fval, grad)
+    return _fit_result(spec.model_label, spec.param_names, estimates, ses, res, fval, grad)

@@ -20,7 +20,7 @@ from visitsim.domain import Subject, build_panel
 from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, run_study,
                               summarize)
 from visitsim.iivw import fit_wgee
-from visitsim.jointfit import JointParams, QuadratureRule, joint_loglik, recurrent_frailty_loglik
+from visitsim.jointfit import JointParams, joint_loglik, recurrent_frailty_loglik
 from visitsim.lmm import Adjustment, LmmSpec, design_matrix, lmm_loglik
 from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 

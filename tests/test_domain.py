@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visitsim.domain import (FitResult, PanelDataset, Subject, build_panel, read_panel_csv,
                              write_panel_csv)
@@ -12,6 +14,11 @@ def make_subject(sid=1, z=0, c=5.0, times=(0.0, 1.5, 3.0), ys=None):
     return Subject(sid, z, c, times, ys)
 
 
+def panel_with(bad):
+    """A panel of one valid subject followed by ``bad``, which the panel must reject."""
+    return build_panel([make_subject(sid=0), bad])
+
+
 class TestSubject:
     def test_valid(self):
         s = make_subject()
@@ -20,27 +27,122 @@ class TestSubject:
 
     def test_first_visit_not_zero(self):
         with pytest.raises(ValidationError, match="subject 1"):
-            make_subject(times=(0.5, 1.0))
+            panel_with(make_subject(times=(0.5, 1.0)))
 
     def test_non_monotone(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            make_subject(times=(0.0, 2.0, 2.0))
+            panel_with(make_subject(times=(0.0, 2.0, 2.0)))
 
     def test_non_finite_visit_time(self):
         with pytest.raises(ValidationError, match="finite"):
-            make_subject(times=(0.0, np.nan))
+            panel_with(make_subject(times=(0.0, np.nan)))
 
     def test_visit_at_censoring(self):
         with pytest.raises(ValidationError, match="censoring"):
-            make_subject(c=3.0, times=(0.0, 3.0))
+            panel_with(make_subject(c=3.0, times=(0.0, 3.0)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            Subject(1, 0, 5.0, [0.0, 1.0], [0.0])
+            panel_with(Subject(1, 0, 5.0, [0.0, 1.0], [0.0]))
 
     def test_bad_treatment(self):
         with pytest.raises(ValidationError, match="treatment"):
-            make_subject(z=2)
+            panel_with(make_subject(z=2))
+
+    @pytest.mark.parametrize("times", [0.0, [[0.0, 1.0]]], ids=["0-d", "2-d"])
+    def test_visit_times_not_one_dimensional(self, times):
+        with pytest.raises(ValidationError, match="subject 1: visit_times and outcomes must be 1-d"):
+            panel_with(Subject(1, 0, 5.0, times, np.zeros_like(times)))
+
+
+def subject_rule_message(s: Subject) -> str | None:
+    """The error of the first per-subject rule ``s`` breaks, with the rules in the order and
+    wording that ``Subject`` used when it checked itself; None if ``s`` breaks none."""
+    t, y = s.visit_times, s.outcomes
+    if s.z not in (0, 1):
+        return f"subject {s.id}: treatment z must be 0 or 1, got {s.z}"
+    if not np.isfinite(s.censoring_time) or s.censoring_time <= 0:
+        return f"subject {s.id}: censoring time must be a positive real"
+    if t.ndim != 1 or y.ndim != 1 or len(t) != len(y):
+        return f"subject {s.id}: visit_times and outcomes must be 1-d and equal length"
+    if len(t) == 0:
+        return f"subject {s.id}: needs at least the baseline visit"
+    if t[0] != 0.0:
+        return f"subject {s.id}: first visit must be at t = 0, got {t[0]}"
+    if not np.all(np.diff(t) > 0):
+        return f"subject {s.id}: visit times must be finite and strictly increasing"
+    if t[-1] >= s.censoring_time:
+        return f"subject {s.id}: visit at t = {t[-1]} is not before censoring time {s.censoring_time}"
+    if not np.all(np.isfinite(y)):
+        return f"subject {s.id}: outcomes must be finite"
+    return None
+
+
+BREAKS = ("t0", "repeat", "nan_time", "last_at_c", "bad_z", "y_inf", "c_nonpos", "c_inf", "no_visits",
+          "lengths", "not_1d", "repeat_id")
+
+
+@st.composite
+def subjects_with_breaks(draw):
+    """1-6 subjects, up to two of them broken by construction, each in one way."""
+    n = draw(st.integers(1, 6))
+    broken = dict(draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(BREAKS)), max_size=2)))
+    subjects = []
+    for sid in range(n):
+        kind = broken.get(sid, "valid")
+        incs = draw(st.lists(st.floats(0.01, 1.0), min_size=0, max_size=4))
+        t = np.concatenate([[0.0], np.cumsum(incs)])
+        c = float(t[-1]) + draw(st.floats(0.01, 3.0))
+        z = draw(st.sampled_from([0, 1]))
+        y = np.array(draw(st.lists(st.floats(-5, 5), min_size=len(t), max_size=len(t))))
+        j = draw(st.integers(0, len(t) - 1))
+        if kind == "t0":
+            t = t + draw(st.sampled_from([-0.5, 0.5]))
+        elif kind == "repeat":
+            t, y = np.insert(t, j, t[j]), np.insert(y, j, 0.0)
+        elif kind == "nan_time":
+            t[j] = np.nan
+        elif kind == "last_at_c":
+            t, y = np.append(t, t[-1] + 0.5), np.append(y, 0.0)
+            c = float(t[-1])
+        elif kind == "bad_z":
+            z = draw(st.sampled_from([2, -1, 0.5]))
+        elif kind == "y_inf":
+            y[j] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        elif kind == "c_nonpos":
+            c = draw(st.sampled_from([0.0, -1.0, np.nan]))
+        elif kind == "c_inf":
+            c = np.inf
+        elif kind == "no_visits":
+            t, y = t[:0], y[:0]
+        elif kind == "lengths":
+            y = np.append(y, 0.0)
+        elif kind == "not_1d":
+            t, y = t[None, :], y[None, :]
+        elif kind == "repeat_id" and subjects:
+            sid = draw(st.sampled_from([s.id for s in subjects]))
+        subjects.append(Subject(sid, z, c, t, y))
+    return subjects
+
+
+class TestPanelRules:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(subjects_with_breaks())
+    def test_panel_rejects_what_the_subject_rules_reject(self, subjects):
+        # the panel checks one rule at a time over all subjects, so the subject it names
+        # breaks no earlier rule: its error is the one that subject's own check gave
+        broken = [m for m in map(subject_rule_message, subjects) if m is not None]
+        ids = [s.id for s in subjects]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if not broken and not repeated:
+            assert build_panel(subjects).n_subjects == len(subjects)
+            return
+        with pytest.raises(ValidationError) as info:
+            build_panel(subjects)
+        if broken:
+            assert str(info.value) in broken
+        else:
+            assert str(info.value) == f"subject id {repeated[0]} appears more than once"
 
 
 class TestBuildPanel:

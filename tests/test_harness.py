@@ -88,6 +88,33 @@ class TestRunStudy:
         assert [a for a, _ in differing] == [f"{tag},2,E,{name},,,0" for name in ("alpha0", "alpha1", "alpha2")]
         assert all(b.startswith(f"{tag},2,E,") and b.endswith(",1") for _, b in differing)
 
+    @pytest.mark.parametrize("error", [ValidationError("subject 7: outcomes must be finite"),
+                                       ValueError("scale must be > 0"),
+                                       FloatingPointError("overflow")],
+                             ids=["ValidationError", "ValueError", "FloatingPointError"])
+    def test_failed_simulation_recorded_not_fatal(self, monkeypatch, error):
+        study = small_study(models=("D", "E"), reps=3)
+        expected = run_study(study).to_csv_text().splitlines()
+        real_simulate_panel = harness.simulate_panel
+
+        def simulate_panel(scenario, seed):
+            if seed.spawn_key == (2,):
+                raise error
+            return real_simulate_panel(scenario, seed)
+
+        monkeypatch.setattr(harness, "simulate_panel", simulate_panel)
+        lines = run_study(study).to_csv_text().splitlines()
+        # every model of replication 2 is empty and not converged; every other row is unchanged
+        tag = study.scenario.label
+        assert len(lines) == len(expected)
+        rep2 = [i for i, line in enumerate(expected) if line.startswith(f"{tag},2,")]
+        assert len(rep2) == 5 + 3  # D's five parameters and E's three
+        for i, (got, want) in enumerate(zip(lines, expected)):
+            if i in rep2:
+                assert got == ",".join(want.split(",")[:4]) + ",,,0"
+            else:
+                assert got == want
+
     @pytest.mark.parametrize("row, message", [
         ("s,1,D,alpha1", "expected 7 fields, got 4"),
         ("s,x,D,alpha1,0.5,0.1,1", "invalid literal for int"),

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from visitsim.dgm import ScenarioConfig, simulate_panel
+from visitsim import lmm
+from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.jointfit import (JointParams, QuadratureRule, _JointData, _evaluate, fit_joint,
-                               joint_loglik, joint_loglik_gradient,
+from visitsim.jointfit import (JointParams, _JointData, _evaluate, _starting_theta, fit_joint,
+                               gauss_hermite, joint_loglik, joint_loglik_gradient,
                                recurrent_frailty_loglik, subject_log_contributions)
-from visitsim.lmm import Adjustment, LmmSpec, lmm_loglik
-
-RULE = QuadratureRule.gauss_hermite(25)
-
+from visitsim.lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
 
 def typical_params(lam=0.3, gamma=1.5):
     return JointParams(1.0, np.log(lam), np.log(1.05), 0.0, 1.0, 0.2, gamma,
@@ -56,13 +54,13 @@ def mc_oracle(params: JointParams, panel, ndraws=10**6, seed=123):
 class TestQuadratureRule:
     def test_invariants(self):
         for order in (3, 7, 25, 50):
-            rule = QuadratureRule.gauss_hermite(order)
-            assert abs(rule.weights.sum() - 1.0) < 1e-12
-            np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-9)
+            nodes, weights = gauss_hermite(order)
+            assert abs(weights.sum() - 1.0) < 1e-12
+            np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-9)
 
     def test_order_bound(self):
-        with pytest.raises(ValueError):
-            QuadratureRule.gauss_hermite(2)
+        with pytest.raises(ValidationError, match="quadrature order must be >= 3, got 2"):
+            gauss_hermite(2)
 
     def test_fit_options_order_bound(self):
         panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
@@ -73,9 +71,9 @@ class TestQuadratureRule:
             fit_joint(panel, order=3)
 
     def test_normal_moments(self):
-        rule = QuadratureRule.gauss_hermite(25)
-        assert float(rule.weights @ rule.nodes**2) == pytest.approx(1.0, abs=1e-12)
-        assert float(rule.weights @ rule.nodes**4) == pytest.approx(3.0, abs=1e-10)
+        nodes, weights = gauss_hermite(25)
+        assert float(weights @ nodes**2) == pytest.approx(1.0, abs=1e-12)
+        assert float(weights @ nodes**4) == pytest.approx(3.0, abs=1e-10)
 
 
 class TestLoglik:
@@ -86,8 +84,8 @@ class TestLoglik:
         panel = simulate_panel(cfg, 42)
         params = JointParams(0.9, np.log(0.28), np.log(1.1), 0.1, 0.9, 0.25, 0.0,
                              np.log(0.9), 0.5 * np.log(0.45), 0.5 * np.log(1.1))
-        joint = joint_loglik(params, panel, RULE)
-        rec = recurrent_frailty_loglik(0.9, 0.28, 1.1, 0.81, panel, RULE)
+        joint = joint_loglik(params, panel, 25)
+        rec = recurrent_frailty_loglik(0.9, 0.28, 1.1, 0.81, panel, 25)
         lmm_part = lmm_loglik([0.1, 0.9, 0.25], 0.45, 1.1, panel, LmmSpec(Adjustment.NONE))
         assert abs(joint - rec - lmm_part) < 1e-8
 
@@ -97,7 +95,7 @@ class TestLoglik:
         panel = simulate_panel(cfg, 7)
         params = typical_params(lam, gamma)
         mc, mcse = mc_oracle(params, panel)
-        quad = joint_loglik(params, panel, RULE)
+        quad = joint_loglik(params, panel, 25)
         assert abs(quad - mc) < 3 * mcse
 
     @pytest.mark.parametrize("preset", [
@@ -112,26 +110,26 @@ class TestLoglik:
         cfg = ScenarioConfig(family="joint_model", n_subjects=60, **preset)
         panel = simulate_panel(cfg, 11)
         params = typical_params(cfg.weibull_scale, cfg.gamma)
-        l25 = joint_loglik(params, panel, QuadratureRule.gauss_hermite(25))
-        l50 = joint_loglik(params, panel, QuadratureRule.gauss_hermite(50))
+        l25 = joint_loglik(params, panel, 25)
+        l50 = joint_loglik(params, panel, 50)
         assert abs(l25 - l50) <= 1e-6 * abs(l50)
 
     def test_gradient_matches_finite_differences(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40)
         panel = simulate_panel(cfg, 42)
-        data = _JointData(panel)
+        data = _JointData(panel, 25)
         rng = np.random.default_rng(0)
         base = typical_params().to_vector()
         for _ in range(10):
             theta = base + rng.normal(0, 0.15, 10)
-            _, _, grad = _evaluate(theta, data, RULE, True)
+            _, _, grad = _evaluate(theta, data, True)
             for j in range(10):
                 h = 1e-6 * (1 + abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (_evaluate(tp, data, RULE, False)[0]
-                      - _evaluate(tm, data, RULE, False)[0]) / (2 * h)
+                fd = (_evaluate(tp, data, False)[0]
+                      - _evaluate(tm, data, False)[0]) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_subject_reordering_invariance(self):
@@ -139,16 +137,16 @@ class TestLoglik:
         panel = simulate_panel(cfg, 4)
         rev = build_panel(panel.subjects[::-1])
         params = typical_params()
-        assert joint_loglik(params, panel, RULE) == pytest.approx(
-            joint_loglik(params, rev, RULE), abs=1e-9)
+        assert joint_loglik(params, panel, 25) == pytest.approx(
+            joint_loglik(params, rev, 25), abs=1e-9)
 
     def test_contributions_sum_to_total(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=20)
         panel = simulate_panel(cfg, 4)
         params = typical_params()
-        contribs = subject_log_contributions(params, panel, RULE)
+        contribs = subject_log_contributions(params, panel, 25)
         assert len(contribs) == 20
-        assert sum(v for _, v in contribs) == pytest.approx(joint_loglik(params, panel, RULE), abs=1e-9)
+        assert sum(v for _, v in contribs) == pytest.approx(joint_loglik(params, panel, 25), abs=1e-9)
 
 
 class TestFit:
@@ -180,13 +178,13 @@ class TestFit:
             fit.estimate("alpha0"), fit.estimate("alpha1"), fit.estimate("alpha2"),
             fit.estimate("gamma"), 0.5 * np.log(fit.estimate("sigma_u2")),
             0.5 * np.log(fit.estimate("sigma_v2")), 0.5 * np.log(fit.estimate("sigma_e2")))
-        base = joint_loglik(theta_hat, panel, RULE)
+        base = joint_loglik(theta_hat, panel, 25)
         assert base == pytest.approx(fit.loglik, abs=1e-6)
         rng = np.random.default_rng(5)
         vec = theta_hat.to_vector()
         for _ in range(5):
             pert = vec + rng.normal(0, 0.05, 10)
-            assert joint_loglik(JointParams.from_vector(pert), panel, RULE) < base
+            assert joint_loglik(JointParams.from_vector(pert), panel, 25) < base
 
     def test_estimates_converged_in_quadrature_order(self):
         # the fitted optimum, gamma-hat included, does not move between
@@ -207,3 +205,21 @@ class TestFit:
         subs = [Subject(i + 1, i % 2, 5.0, [0.0], [0.1 * i]) for i in range(10)]
         with pytest.warns(UserWarning, match="weakly identified"):
             fit_joint(build_panel(subs), order=7)
+
+
+def test_start_values_build_no_information_matrix(monkeypatch):
+    # model A starts from model D's point estimates, which need no standard errors
+    from importlib import resources
+
+    text = resources.files("visitsim").joinpath("presets/jm_g15_l030.cfg").read_text()
+    config, _ = parse_scenario_text(text)
+    panel = simulate_panel(config, config.seed)
+    fit_d = fit_lmm(panel, LmmSpec(Adjustment.NONE))
+    calls = []
+    real_information = lmm._observed_information
+    monkeypatch.setattr(lmm, "_observed_information", lambda *a: calls.append(a) or real_information(*a))
+    theta0 = _starting_theta(panel, _JointData(panel, 25))
+    assert calls == []
+    sv2, se2 = (max(fit_d.estimate(k), 1e-4) for k in ("sigma_v2", "sigma_e2"))
+    assert list(theta0[3:6]) == list(fit_d.estimates[:3])
+    assert list(theta0[8:]) == [0.5 * np.log(sv2), 0.5 * np.log(se2)]

@@ -19,3 +19,10 @@ def test_joint_fit_options_are_gone():
 def test_weight_table_is_gone():
     assert "WeightTable" not in visitsim.__all__
     assert not hasattr(visitsim, "WeightTable")
+
+
+def test_quadrature_rule_is_gone():
+    # model A's rule is the (nodes, weights) pair of ``jointfit.gauss_hermite(order)``
+    assert "QuadratureRule" not in visitsim.__all__
+    assert not hasattr(visitsim, "QuadratureRule")
+    assert not hasattr(visitsim.jointfit, "QuadratureRule")
