@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,6 @@ def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
 
 
 def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
-    import warnings
-
     try:
         panel = simulate_panel(study.scenario, np.random.SeedSequence(study.seed, spawn_key=(rep,)))
     except (ValidationError, ValueError, ArithmeticError):
@@ -260,7 +259,9 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float],
               params: tuple[str, ...] | None = None) -> PerformanceTable:
     """Bias, empirical/model SE, MSE and coverage with Monte Carlo SEs.
 
-    Computed over converged replications only.  ``params`` restricts the
+    Computed over converged replications only.  A (model, parameter) with
+    fewer than 2 of them keeps its row, with NaN measures and its
+    ``conv_rate``, and raises a RuntimeWarning.  ``params`` restricts the
     summary to a subset; by default every parameter present must have an
     entry in ``truths``.
     """
@@ -288,7 +289,12 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float],
         k_all = len(rows)
         k = len(done)
         if k < 2:
-            raise EstimationError(f"fewer than 2 converged replications for model {model}, parameter {param}")
+            warnings.warn(f"{scenario}: {k} of {k_all} replications converged for model {model}, "
+                          f"parameter {param}; its performance measures are NaN",
+                          RuntimeWarning, stacklevel=2)
+            out.append(PerformanceRow(scenario, model, param, float(truth), *[float("nan")] * 9,
+                                      conv_rate=k / k_all))
+            continue
         est = np.array([r.est for r in done])
         se = np.array([r.se for r in done])
         bias = float(est.mean() - truth)

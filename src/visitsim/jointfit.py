@@ -207,12 +207,6 @@ def joint_loglik(params: JointParams, panel: PanelDataset, order: int = 25) -> f
     return loglik
 
 
-def joint_loglik_gradient(params: JointParams, panel: PanelDataset, order: int = 25) -> np.ndarray:
-    """Gradient of the joint log likelihood in the JointParams vector layout."""
-    _, _, grad = _evaluate(params.to_vector(), _JointData(panel, order), want_grad=True)
-    return grad
-
-
 def subject_log_contributions(params: JointParams, panel: PanelDataset, order: int = 25):
     """Per-subject log likelihood contributions, as (subject_id, value) pairs."""
     _, contrib, _ = _evaluate(params.to_vector(), _JointData(panel, order), want_grad=False)
@@ -280,4 +274,4 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
         jac = np.array([1.0, nat["lambda"], nat["p"], 1.0, 1.0, 1.0, 1.0,
                         2.0 * nat["sigma_u2"], 2.0 * nat["sigma_v2"], 2.0 * nat["sigma_e2"]])
         ses = _se_from_information(info, jac)
-    return _fit_result("A", PARAM_NAMES, estimates, ses, res, fval, grad)
+    return _fit_result("A", PARAM_NAMES, estimates, ses, fval, grad, res.nit, f"optimizer: {res.message}")

@@ -3,9 +3,13 @@
 Covers model D (outcome on intercept, treatment, time), model B (adds the
 subject's total visit count centred on the dataset mean) and model C (adds
 the running count of visits up to and including the current one).  The
-marginal covariance per subject is sigma_v2 * J + sigma_e2 * I; likelihood,
-gradient and information all use the rank-one Woodbury identities, so the
-cost is linear in the number of rows.
+marginal covariance per subject is sigma_v2 * J + sigma_e2 * I.  For a fixed
+ratio rho = sigma_v2 / sigma_e2 the maximum-likelihood alpha is a generalised
+least-squares solution and sigma_e2 is RSS / N, so a fit is a one-dimensional
+search over log rho of the profiled deviance (Bates, Maechler, Bolker &
+Walker, J Stat Softw 2015, section 3.4), on per-subject sums built once.
+Likelihood, gradient and observed information use the rank-one Woodbury
+identities, so their cost is linear in the number of rows.
 """
 
 from __future__ import annotations
@@ -156,37 +160,91 @@ def _se_from_information(info: np.ndarray, jacobian: np.ndarray):
     return np.sqrt(d) * jacobian
 
 
-def _starting_values(X: np.ndarray, panel: PanelDataset) -> np.ndarray:
-    alpha0, *_ = np.linalg.lstsq(X, panel.y, rcond=None)
-    r = panel.y - X @ alpha0
-    means = panel.group_sum(r) / panel.counts
-    within = panel.group_sum(r * r) - panel.counts * means**2
-    dof = max(np.sum(panel.counts - 1.0), 1.0)
-    sigma_e2 = max(np.sum(within) / dof, 1e-4)
-    sigma_v2 = max(np.var(means), 1e-4)
-    return np.concatenate([alpha0, [0.5 * np.log(sigma_v2), 0.5 * np.log(sigma_e2)]])
-
-
 MAX_ITER = 500
 GRAD_TOL = 1e-6
-PARAM_TOL = 1e-8
+# the search interval of log(sigma_v2 / sigma_e2); at the lower end sigma_v2 is 1.4e-11 * sigma_e2
+LOG_RHO_BOUNDS = (-25.0, 15.0)
 
 
-def _standardize(X: np.ndarray):
-    """Center/scale the non-intercept columns; return (Xs, transform-to-original)."""
+class _Profile:
+    """The likelihood profiled over alpha and sigma_e2, as a function of log rho.
+
+    Holds X'X, X'y, y'y and the per-subject sums of X and y, so each
+    evaluation costs O(subjects * k^2) whatever the number of rows.
+    ``evaluations`` counts the calls of ``at``.
+    """
+
+    def __init__(self, X: np.ndarray, panel: PanelDataset):
+        self.n = panel.counts.astype(float)
+        self.N = float(panel.n_rows)
+        self.XtX = X.T @ X
+        self.Xty = X.T @ panel.y
+        self.yty = float(panel.y @ panel.y)
+        self.Sx = panel.group_sum(X)
+        self.Sy = panel.group_sum(panel.y)
+        self.evaluations = 0
+
+    def at(self, log_rho: float):
+        """alpha-hat, the residual sum of squares and each subject's residual sum at rho."""
+        self.evaluations += 1
+        c = np.exp(log_rho) / (1.0 + self.n * np.exp(log_rho))
+        A = self.XtX - (self.Sx.T * c) @ self.Sx
+        b = self.Xty - self.Sx.T @ (c * self.Sy)
+        alpha = np.linalg.solve(A, b)
+        return alpha, self.yty - c @ (self.Sy * self.Sy) - b @ alpha, self.Sy - self.Sx @ alpha
+
+    def slope(self, log_rho: float) -> float:
+        """d/d log rho of the profiled deviance N log RSS + sum log(1 + n_i rho).
+
+        alpha-hat's own motion drops out at its optimum, so only rho's
+        explicit terms count.
+        """
+        _, rss, s = self.at(log_rho)
+        rho = np.exp(log_rho)
+        d = 1.0 + self.n * rho
+        return rho * (np.sum(self.n / d) - self.N * np.sum((s / d) ** 2) / rss)
+
+    def argmin(self) -> float:
+        """log rho at a local minimum of the profiled deviance on LOG_RHO_BOUNDS.
+
+        That is a root of the slope where it rises through zero, or a bound
+        the slope points out of.  brentq keeps the negative end of its
+        bracket below the positive one, so the root it returns is a minimum.
+        """
+        lo, hi = LOG_RHO_BOUNDS
+        if self.slope(lo) >= 0.0:
+            return lo
+        if self.slope(hi) <= 0.0:
+            return hi
+        return scipy.optimize.brentq(self.slope, lo, hi)
+
+
+def _information(theta: np.ndarray, X: np.ndarray, panel: PanelDataset) -> np.ndarray:
+    """Observed information (Hessian of the negative log likelihood) in (alpha, log sigma_v, log sigma_e).
+
+    Per subject the negative log likelihood is, up to a constant,
+    0.5 * [(n-1) log e + log a + p/e + m/a] with e = sigma_e2, u = sigma_v2,
+    a = e + n u, m = s^2/n the between-subject and p = q - m the
+    within-subject part of the residual sum of squares.
+    """
     k = X.shape[1]
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    means[0], scales[0] = 0.0, 1.0
-    scales[scales == 0] = 1.0
-    Xs = (X - means) / scales
-
-    def to_original(alpha_s: np.ndarray) -> np.ndarray:
-        alpha = alpha_s / scales
-        alpha[0] -= np.sum(alpha_s[1:] * means[1:] / scales[1:])
-        return alpha
-
-    return Xs, to_original, k
+    u, e = np.exp(2.0 * theta[k:])
+    r, s, q, a, *_ = _loglik_parts(X, panel, theta[:k], u, e)
+    xbar = panel.group_sum(X)
+    m = s * s / panel.counts
+    p = q - m
+    un = u * panel.counts
+    info = np.empty((k + 2, k + 2))
+    info[:k, :k] = X.T @ X / e - (xbar.T * (u / (e * a))) @ xbar
+    info[:k, k] = xbar.T @ (2.0 * u * s / a**2)
+    info[:k, k + 1] = (2.0 / e * (X.T @ r - xbar.T @ (s / panel.counts))
+                       + xbar.T @ (2.0 * e * s / (panel.counts * a**2)))
+    info[k, k] = np.sum(2.0 * un / a**2 * (e + m * (un - e) / a))
+    info[k, k + 1] = np.sum(2.0 * e * un / a**2 * (2.0 * m / a - 1.0))
+    info[k + 1, k + 1] = np.sum(2.0 * e * un / a**2 + 2.0 * p / e - 2.0 * e * m * (a - 2.0 * e) / a**3)
+    info[k:, :k] = info[:k, k:].T
+    info[k + 1, k] = info[k, k + 1]
+    return info
 
 
 def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
@@ -212,7 +270,8 @@ def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
         for _ in range(20):
             cand = theta - scale * step
             fc, gc = fun_grad(cand)
-            if fc <= f + 1e-12:
+            # a rise within a few ulps of f is rounding, not an uphill step
+            if fc <= f + 1e-12 + 8.0 * np.finfo(float).eps * abs(f):
                 theta, f, g = cand, fc, gc
                 break
             scale *= 0.5
@@ -224,9 +283,9 @@ def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
     return theta, f, g, info
 
 
-def _fit_result(label: str, names, estimates: np.ndarray, ses, res, fval: float,
-                grad: np.ndarray) -> FitResult:
-    """The FitResult of an optimiser run: converged iff ``ses`` is given, else NaN SEs and why."""
+def _fit_result(label: str, names, estimates: np.ndarray, ses, fval: float, grad: np.ndarray,
+                iterations: int, reason: str) -> FitResult:
+    """The FitResult of a fit: converged iff ``ses`` is given, else NaN SEs and ``reason``."""
     converged = ses is not None
     return FitResult(
         model_label=label,
@@ -235,56 +294,50 @@ def _fit_result(label: str, names, estimates: np.ndarray, ses, res, fval: float,
         std_errors=ses if converged else np.full(len(names), np.nan),
         loglik=float(-fval),
         converged=converged,
-        iterations=int(res.nit),
-        message="" if converged else f"optimizer: {res.message}; max|grad|={np.max(np.abs(grad)):.2e}",
+        iterations=int(iterations),
+        message="" if converged else f"{reason}; max|grad|={np.max(np.abs(grad)):.2e}",
     )
 
 
 def _lmm_estimates(panel: PanelDataset, spec: LmmSpec):
-    """Point estimates of a random-intercept LMM as (theta, X, optimiser result, fval, grad).
+    """Point estimates of a random-intercept LMM as (theta, X, profile evaluations, fval, grad).
 
-    ``theta`` is (alpha, log sigma_v, log sigma_e) on the original design ``X``.
+    ``theta`` is (alpha, log sigma_v, log sigma_e); ``fval`` and ``grad`` are
+    the negative log likelihood and its gradient there.
     """
     if panel.n_subjects < 2:
         raise EstimationError("fit_lmm needs at least 2 subjects")
     X = design_matrix(panel, spec)
     _check_design(X, spec.param_names)
-
-    # optimize (and judge convergence) on unit-scale columns; raw count columns
-    # put curvatures of ~1e9 on some axes, where no gradient norm is meaningful
-    Xs, to_original, k = _standardize(X)
-    res = scipy.optimize.minimize(
-        _negloglik_and_grad,
-        _starting_values(Xs, panel),
-        args=(Xs, panel),
-        jac=True,
-        method="BFGS",
-        options={"gtol": GRAD_TOL, "maxiter": MAX_ITER},
-    )
-    fun_grad_s = lambda t: _negloglik_and_grad(t, Xs, panel)  # noqa: E731
-    theta_s, fval, grad, _ = _newton_polish(fun_grad_s, res.x, res.fun, res.jac, GRAD_TOL, 10, PARAM_TOL)
-    theta = np.concatenate([to_original(theta_s[:k]), theta_s[k:]])
-    return theta, X, res, fval, grad
+    profile = _Profile(X, panel)
+    log_rho = profile.argmin()
+    alpha, rss, _ = profile.at(log_rho)
+    log_sigma_e = 0.5 * np.log(rss / profile.N)
+    theta = np.concatenate([alpha, [log_sigma_e + 0.5 * log_rho, log_sigma_e]])
+    fval, grad = _negloglik_and_grad(theta, X, panel)
+    return theta, X, profile.evaluations, fval, grad
 
 
 def fit_lmm(panel: PanelDataset, spec: LmmSpec | None = None) -> FitResult:
     """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
 
-    Quasi-Newton on (alpha, log sigma_v, log sigma_e), followed by a Newton
-    polish, both on the design standardized internally for conditioning.
-    Standard errors come from the inverse observed information (finite
-    differences of the analytic gradient) in the reported parameterisation.
+    log(sigma_v2 / sigma_e2) is the root of the profiled deviance's slope,
+    bracketed on LOG_RHO_BOUNDS (or its lower end, sigma_v2 -> 0, when the
+    deviance rises from there); alpha and sigma_e2 follow in closed form.
+    Standard errors come from the inverse of the closed-form observed
+    information in (alpha, log sigma_v, log sigma_e), mapped to the reported
+    sigma^2 by the delta method.  ``iterations`` counts profile evaluations.
     """
     spec = spec or LmmSpec()
-    theta, X, res, fval, grad = _lmm_estimates(panel, spec)
+    theta, X, evaluations, fval, grad = _lmm_estimates(panel, spec)
     k = X.shape[1]
-    sigma_v2 = float(np.exp(2.0 * theta[k]))
-    sigma_e2 = float(np.exp(2.0 * theta[k + 1]))
+    sigma_v2, sigma_e2 = np.exp(2.0 * theta[k:])
     estimates = np.concatenate([theta[:k], [sigma_v2, sigma_e2]])
 
     ses = None
     if np.max(np.abs(grad)) < 1e-4:
-        info = _observed_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
         # variance components are reported as sigma^2 = exp(2 theta)
-        ses = _se_from_information(info, np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
-    return _fit_result(spec.model_label, spec.param_names, estimates, ses, res, fval, grad)
+        ses = _se_from_information(_information(theta, X, panel),
+                                   np.concatenate([np.ones(k), [2.0 * sigma_v2, 2.0 * sigma_e2]]))
+    return _fit_result(spec.model_label, spec.param_names, estimates, ses, fval, grad,
+                       evaluations, "profile search")

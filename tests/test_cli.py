@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from visitsim.cli import PRESETS, main
+from visitsim.errors import EstimationError
 
 CFG = """
 [scenario]
@@ -158,6 +159,40 @@ class TestRunStudyCommand:
                      "--models", "B,C,D,E", "--out-dir", str(out_dir)]) == 0
         rows = (out_dir / "estimates.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * (6 + 6 + 5 + 3)
+        assert all(row.endswith(",1") for row in rows)
+
+    def test_too_few_converged_fits_still_summarized(self, cfg_path, tmp_path, monkeypatch):
+        from visitsim import harness
+
+        real_fit_model = harness.fit_model
+        calls = []
+
+        def fit_model(panel, label, gh_order=25):
+            calls.append(label)
+            if calls.count("D") == 1 and label == "D":  # threads=1: replication 1
+                raise EstimationError("no convergence")
+            return real_fit_model(panel, label, gh_order)
+
+        monkeypatch.setattr(harness, "fit_model", fit_model)
+        out_dir = tmp_path / "study"
+        with pytest.warns(RuntimeWarning, match="1 of 2 replications converged for model D"):
+            rc = main(["run-study", "--config", cfg_path, "--reps", "2", "--models", "D,E",
+                       "--out-dir", str(out_dir), "--threads", "1"])
+        assert rc == 0
+        assert sorted(os.listdir(out_dir)) == ["estimates.csv", "manifest.json", "performance.csv"]
+        perf = [line.split(",") for line in (out_dir / "performance.csv").read_text().splitlines()[1:]]
+        d_rows = [row for row in perf if row[1] == "D"]
+        assert len(d_rows) == 5
+        assert all(row[4:13] == ["nan"] * 9 and row[13] == "0.5" for row in d_rows)
+        assert all(row[4] != "nan" and row[13] == "1.0" for row in perf if row[1] == "E")
+
+    def test_model_d_converges_on_every_replication_of_a_dense_study(self, tmp_path):
+        # at this study seed, a BFGS fit of model D once stopped short of its gradient check
+        out_dir = tmp_path / "study"
+        assert main(["run-study", "--config", "jm_g15_l100", "--seed", "1518295076", "--reps", "2",
+                     "--models", "D", "--threads", "1", "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "estimates.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 5
         assert all(row.endswith(",1") for row in rows)
 
     def test_outputs_and_manifest(self, cfg_path, tmp_path):

@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "51745edc626379b9285720142c6b638065c54cdf648d1200c81d58f750af4436",
-    "gamma_psi2": "955a01ec50eb9eaca597faecb2b4a4b65ac87d85126f16e9c63f36d8c4959431",
-    "gamma_lagy": "fcaaef5bd898dbee6169c66cc0e0ebbb2dec2c5c3b311598fe72f636c879b442",
-    "jm_g0_l010": "530c2f62d2587541fc4cf57e389671b6eced3afeb827be47d595ecdd5e144965",
-    "jm_g0_l030": "d71b8ccbc07a518d9d5a4282051b5dfa5d2280117478f5e733b06cd7ead5ceca",
-    "jm_g0_l100": "fb13e0c95fad56f31cc6ad94f8cab1d856e602a7959ae933f33b96a518f1d8a0",
-    "jm_g15_l010": "f608073fa0d33843b5c8c71102e368e8e6e264a5bba54016b923413e0f387883",
-    "jm_g15_l030": "28181de06914ec0dd0ab4f543fcb0859c1abe9593f3383ce8945d2fc62dd369c",
-    "jm_g15_l100": "9c3df0645afeb35e76a8f6812fb525b247f004ef3e94cdc55ffa884da37aaa49",
-    "jm_g30_l005_regular": "08cb562de279e1c6f1b15608fae5c4a54e961a36448aa74e6e69509a1f825291",
+    "gamma_psi0": "2c183a3691a47f6e21226cec4a35c6f714ab7dd7b2ebead9d137c1bc266fc623",
+    "gamma_psi2": "263966830391b306b3ed17d805790045091d564e1c1ecbce17a16a8aa0be7dc9",
+    "gamma_lagy": "8cbe1794c962002334b009f2c6529ab85da9faa28543eb0296175660ba06ceeb",
+    "jm_g0_l010": "7cbe058995a4c20e45358acac9af0688b1c329474737f3e5f3c2ab717c9b990c",
+    "jm_g0_l030": "eab8bef1930941cc401d332f167f694ee2f70c67ebaefa93a4e7ca8930ccfe30",
+    "jm_g0_l100": "afaab64188ade9ddfe971e48cf1a01983b7faf55383bbdf39e77450c6aaca472",
+    "jm_g15_l010": "a13cb03e7b2ee56ce6ab271e67145746f01f3db0fdeb84f1c3616b496a182c77",
+    "jm_g15_l030": "874983b75044a34b9e83a4824735bbacd86f46b3b8a84cbbb33d4456ace39025",
+    "jm_g15_l100": "5a05c6fcd0ed747248da695e1804c6c07e6028b3fee7691d8ad95a2d02be7113",
+    "jm_g30_l005_regular": "36c6b51a0011fd3ed8752f978bb7d2da151f7576b61c22c9a024cad06787f1ba",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,9 +64,9 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "6e1e432cff0874693decf518ef9dda2f1f3c5d6575ba7200c928bd58d1b1059e",
-    "loglik_A.csv": "4b14d7b3a143109b783b0cff277a5b326de276c5b828be912c73dfe9c7b367d0",
-    "fit_C.json": "3fd6596f2a0d517dd4b0dcc76ca7e9dd3e0bbfa369a3226c8bb66ccd068e17c1",
+    "fit_A.json": "23692789dc11c05268a214dc25ab24757dcf9e4801f66216c69b677a2025abd9",
+    "loglik_A.csv": "d33f1d9cfbd83422fc0f1ebf5c1e9f0d42fc87158fd116556899eb4f0e859ca9",
+    "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
 }
 
 

@@ -5,8 +5,8 @@ from visitsim import harness
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.harness import (EstimateRow, EstimatesTable, StudyConfig, describe_datasets,
-                              diagnose_informativeness, run_study, summarize)
+from visitsim.harness import (PERFORMANCE_CSV_COLUMNS, EstimateRow, EstimatesTable, StudyConfig,
+                              describe_datasets, diagnose_informativeness, run_study, summarize)
 
 
 def small_study(models=("D",), reps=3, **scenario_kw):
@@ -188,11 +188,25 @@ class TestSummarize:
         with pytest.raises(EstimationError, match="alpha1"):
             summarize(EstimatesTable(rows_from([1.0, 1.1])), {"alpha0": 0.0})
 
-    def test_too_few_converged_errors(self):
+    def test_too_few_converged_gives_nan_row(self):
         rows = rows_from([1.0, None, None], ses=[0.1, None, None],
                          converged=[True, False, False])
-        with pytest.raises(EstimationError, match="fewer than 2"):
-            summarize(EstimatesTable(rows), {"alpha1": 1.0})
+        rows += rows_from([0.1, -0.1, 0.0], param="alpha0")
+        message = "1 of 3 replications converged for model D, parameter alpha1;"
+        with pytest.warns(RuntimeWarning, match=message):
+            perf = summarize(EstimatesTable(rows), {"alpha0": 0.0, "alpha1": 1.0})
+        row = perf.lookup("D", "alpha1")
+        assert (row.scenario, row.truth, row.conv_rate) == ("s", 1.0, pytest.approx(1 / 3))
+        measures = [getattr(row, f) for f in PERFORMANCE_CSV_COLUMNS[4:-1]]
+        assert len(measures) == 9 and all(np.isnan(measures))
+        # the other parameter keeps its full row
+        assert perf.lookup("D", "alpha0").emp_se == pytest.approx(0.1)
+
+    def test_too_few_converged_row_in_csv(self):
+        rows = rows_from([None, None], ses=[None, None], converged=[False, False])
+        with pytest.warns(RuntimeWarning, match="0 of 2 replications"):
+            text = summarize(EstimatesTable(rows), {"alpha1": 1.0}).to_csv_text()
+        assert text.splitlines()[1] == "s,D,alpha1,1.0," + "nan," * 9 + "0.0"
 
     def test_params_filter(self):
         rows = rows_from([1.0, 1.1]) + rows_from([9.9, 9.8], param="weird")

@@ -6,8 +6,8 @@ from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.jointfit import (JointParams, _JointData, _evaluate, _starting_theta, fit_joint,
-                               gauss_hermite, joint_loglik, joint_loglik_gradient,
-                               recurrent_frailty_loglik, subject_log_contributions)
+                               gauss_hermite, joint_loglik, recurrent_frailty_loglik,
+                               subject_log_contributions)
 from visitsim.lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
 
 def typical_params(lam=0.3, gamma=1.5):
