@@ -17,7 +17,7 @@ costs O(total rows + subjects * quadrature order).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.optimize
@@ -30,6 +30,11 @@ from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
                "gamma", "sigma_u2", "sigma_v2", "sigma_e2")
+# the scale parameters, each with the c of value = exp(c * its optimised coordinate);
+# every other parameter is optimised as it is reported
+_LOG_SCALE = {"lambda": 1.0, "p": 1.0, "sigma_u2": 2.0, "sigma_v2": 2.0, "sigma_e2": 2.0}
+_IS_LOG = np.array([k in _LOG_SCALE for k in PARAM_NAMES])
+_C = np.array([_LOG_SCALE.get(k, 1.0) for k in PARAM_NAMES])
 
 _MODE_TOL = 1e-11
 _MODE_MAX_ITER = 80
@@ -42,6 +47,13 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"quadrature order must be >= 3, got {order}")
     x, w = np.polynomial.hermite.hermgauss(order)
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+
+
+def _natural(theta: np.ndarray) -> np.ndarray:
+    """The reported parameters, in PARAM_NAMES order, at the optimised vector ``theta``."""
+    values = np.array(theta, dtype=float)
+    values[_IS_LOG] = np.exp(_C[_IS_LOG] * values[_IS_LOG])
+    return values
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,9 @@ class JointParams:
     log_sigma_e: float
 
     def __post_init__(self):
-        for name in ("log_lambda", "log_p", "log_sigma_u", "log_sigma_v", "log_sigma_e"):
-            if not np.isfinite(np.exp(getattr(self, name))):
-                raise ValueError(f"exp({name}) must be positive and finite")
+        bad = ~np.isfinite(_natural(self.to_vector())) & _IS_LOG
+        if np.any(bad):
+            raise ValueError(f"exp({fields(self)[int(np.argmax(bad))].name}) must be positive and finite")
 
     @classmethod
     def from_vector(cls, theta) -> "JointParams":
@@ -71,8 +83,7 @@ class JointParams:
     @classmethod
     def from_natural(cls, values) -> "JointParams":
         """Inverse of ``natural``: ``values`` maps every name in PARAM_NAMES to its value."""
-        log_factor = {"lambda": 1.0, "p": 1.0, "sigma_u2": 0.5, "sigma_v2": 0.5, "sigma_e2": 0.5}
-        return cls.from_vector([log_factor[k] * np.log(values[k]) if k in log_factor else values[k]
+        return cls.from_vector([np.log(values[k]) / _LOG_SCALE[k] if k in _LOG_SCALE else values[k]
                                 for k in PARAM_NAMES])
 
     def to_vector(self) -> np.ndarray:
@@ -81,18 +92,7 @@ class JointParams:
                          self.log_sigma_e])
 
     def natural(self) -> dict[str, float]:
-        return {
-            "beta": self.beta,
-            "lambda": float(np.exp(self.log_lambda)),
-            "p": float(np.exp(self.log_p)),
-            "alpha0": self.alpha0,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "gamma": self.gamma,
-            "sigma_u2": float(np.exp(2.0 * self.log_sigma_u)),
-            "sigma_v2": float(np.exp(2.0 * self.log_sigma_v)),
-            "sigma_e2": float(np.exp(2.0 * self.log_sigma_e)),
-        }
+        return dict(zip(PARAM_NAMES, map(float, _natural(self.to_vector()))))
 
 
 class _JointData:
@@ -263,15 +263,13 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     res = scipy.optimize.minimize(negloglik, theta0, jac=True, method="BFGS",
                                   options={"gtol": GRAD_TOL, "maxiter": MAX_ITER})
     theta, fval, grad, info = _newton_polish(negloglik, res.x, res.fun, res.jac, GRAD_TOL, 8, 1e-10)
-    nat = JointParams.from_vector(theta).natural()
-    estimates = np.array([nat[k] for k in PARAM_NAMES])
+    estimates = _natural(theta)
 
     ses = None
     if np.isfinite(fval) and np.max(np.abs(grad)) < 1e-4:
         # the polish's last information, when it built one, serves the standard errors
         if info is None:
             info = _observed_information(negloglik, theta)
-        jac = np.array([1.0, nat["lambda"], nat["p"], 1.0, 1.0, 1.0, 1.0,
-                        2.0 * nat["sigma_u2"], 2.0 * nat["sigma_v2"], 2.0 * nat["sigma_e2"]])
-        ses = _se_from_information(info, jac)
+        # d value / d theta is c * value for a scale parameter, 1 for the others
+        ses = _se_from_information(info, np.where(_IS_LOG, _C * estimates, 1.0))
     return _fit_result("A", PARAM_NAMES, estimates, ses, fval, grad, res.nit, f"optimizer: {res.message}")
