@@ -9,7 +9,8 @@ least-squares solution and sigma_e2 is RSS / N, so a fit is a one-dimensional
 search over log rho of the profiled deviance (Bates, Maechler, Bolker &
 Walker, J Stat Softw 2015, section 3.4), on per-subject sums built once.
 Likelihood, gradient and observed information use the rank-one Woodbury
-identities, so their cost is linear in the number of rows.
+identities, so their cost is linear in the number of rows.  Model A's fit
+shares ``_se_from_information`` and ``_fit_result``.
 """
 
 from __future__ import annotations
@@ -130,20 +131,6 @@ def _negloglik_and_grad(theta: np.ndarray, X: np.ndarray, panel: PanelDataset):
     return -loglik, -grad
 
 
-def _observed_information(fun_grad, theta: np.ndarray) -> np.ndarray:
-    """Central finite differences of the (negative-loglik) gradient."""
-    n = len(theta)
-    info = np.empty((n, n))
-    for j in range(n):
-        h = 1e-5 * (1.0 + abs(theta[j]))
-        tp = theta.copy()
-        tp[j] += h
-        tm = theta.copy()
-        tm[j] -= h
-        info[:, j] = (fun_grad(tp)[1] - fun_grad(tm)[1]) / (2.0 * h)
-    return 0.5 * (info + info.T)
-
-
 def _se_from_information(info: np.ndarray, jacobian: np.ndarray):
     """Delta-method standard errors from an observed information matrix, or None if not PD.
 
@@ -245,42 +232,6 @@ def _information(theta: np.ndarray, X: np.ndarray, panel: PanelDataset) -> np.nd
     info[k:, :k] = info[:k, k:].T
     info[k + 1, k] = info[k, k + 1]
     return info
-
-
-def _newton_polish(fun_grad, theta: np.ndarray, f: float, g: np.ndarray,
-                   gtol: float, max_steps: int, step_tol: float):
-    """Drive the gradient to ~0 from an almost-converged point with value ``f`` and gradient ``g``.
-
-    Newton steps on the observed information, halved until ``f`` does not
-    rise.  Returns (theta, f, g, info).  ``info`` is the observed information
-    the loop built last, or None if it built none after its last accepted
-    step; it is at the returned ``theta`` except after a step smaller than
-    ``step_tol``, where it predates that step.
-    """
-    info = None
-    for _ in range(max_steps):
-        if np.max(np.abs(g)) < gtol:
-            break
-        info = _observed_information(fun_grad, theta)
-        try:
-            step = np.linalg.solve(info, g)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(20):
-            cand = theta - scale * step
-            fc, gc = fun_grad(cand)
-            # a rise within a few ulps of f is rounding, not an uphill step
-            if fc <= f + 1e-12 + 8.0 * np.finfo(float).eps * abs(f):
-                theta, f, g = cand, fc, gc
-                break
-            scale *= 0.5
-        else:
-            break
-        if np.max(np.abs(scale * step)) < step_tol:
-            break
-        info = None
-    return theta, f, g, info
 
 
 def _fit_result(label: str, names, estimates: np.ndarray, ses, fval: float, grad: np.ndarray,

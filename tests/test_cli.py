@@ -150,15 +150,16 @@ class TestBadNumericOptions:
 
 class TestRunStudyCommand:
     def test_gaps_that_do_not_advance_the_clock(self, tmp_path):
-        # this scenario draws Weibull gaps that round to zero against the visit time
+        # this scenario draws Weibull gaps that round to zero against the visit time;
+        # about 300k rows per panel, with observed gaps down to 1e-22
         cfg = tmp_path / "zero_gap.cfg"
         cfg.write_text("[scenario]\nfamily = joint_model\nn_subjects = 200\nweibull_scale = 5.0\n"
                        "weibull_shape = 0.3\nsigma_u2 = 4.0\nseed = 0\n")
         out_dir = tmp_path / "study"
         assert main(["run-study", "--config", str(cfg), "--reps", "2", "--threads", "1",
-                     "--models", "B,C,D,E", "--out-dir", str(out_dir)]) == 0
+                     "--models", "A,B,C,D,E", "--out-dir", str(out_dir)]) == 0
         rows = (out_dir / "estimates.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2 * (6 + 6 + 5 + 3)
+        assert len(rows) == 2 * (10 + 6 + 6 + 5 + 3)
         assert all(row.endswith(",1") for row in rows)
 
     def test_too_few_converged_fits_still_summarized(self, cfg_path, tmp_path, monkeypatch):

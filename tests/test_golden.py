@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "2c183a3691a47f6e21226cec4a35c6f714ab7dd7b2ebead9d137c1bc266fc623",
-    "gamma_psi2": "263966830391b306b3ed17d805790045091d564e1c1ecbce17a16a8aa0be7dc9",
-    "gamma_lagy": "8cbe1794c962002334b009f2c6529ab85da9faa28543eb0296175660ba06ceeb",
-    "jm_g0_l010": "7cbe058995a4c20e45358acac9af0688b1c329474737f3e5f3c2ab717c9b990c",
-    "jm_g0_l030": "eab8bef1930941cc401d332f167f694ee2f70c67ebaefa93a4e7ca8930ccfe30",
-    "jm_g0_l100": "afaab64188ade9ddfe971e48cf1a01983b7faf55383bbdf39e77450c6aaca472",
-    "jm_g15_l010": "a13cb03e7b2ee56ce6ab271e67145746f01f3db0fdeb84f1c3616b496a182c77",
-    "jm_g15_l030": "874983b75044a34b9e83a4824735bbacd86f46b3b8a84cbbb33d4456ace39025",
-    "jm_g15_l100": "5a05c6fcd0ed747248da695e1804c6c07e6028b3fee7691d8ad95a2d02be7113",
-    "jm_g30_l005_regular": "36c6b51a0011fd3ed8752f978bb7d2da151f7576b61c22c9a024cad06787f1ba",
+    "gamma_psi0": "34384030a02d7778f6ff21189d6f7b4c40695d3db7e77cd025371298edc6b292",
+    "gamma_psi2": "2a4ed82208c5c2f6fcfe04ae0f37981a21d43bc7a40556f35446ba2eb409a2e3",
+    "gamma_lagy": "e7cb4a2ad1918114098667682123f96f36eb743282b182a7e79b188928933fcd",
+    "jm_g0_l010": "42b7b9f6982e5f3ec4d2b201a76d1d360a49e63886686857cef41f5ee395b9a7",
+    "jm_g0_l030": "ed0107c1781ad4cac0f8c75d56e8ad29c7301c165804dee787647242a6e1a4ef",
+    "jm_g0_l100": "7eedb8a0e4076477e82190436b64e62ecb54edc14821105e362a7028f06ef3ad",
+    "jm_g15_l010": "d9e319d21021dfd848715e8b188440b72a66c16f4cd5f03fd2cc6aa71d1b26b6",
+    "jm_g15_l030": "4fc2a15aeae0ef69571d984d5b23129dc41c846f949ed6a0d23515300c3c4059",
+    "jm_g15_l100": "9e5868297b63a48ea89f0dc07ed182aac985d23ccdc96ac7577208c846e71b72",
+    "jm_g30_l005_regular": "ec321ae35970e4069412e70fc513a92519a020711b1249dee1005072689de4b0",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,8 +64,8 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "23692789dc11c05268a214dc25ab24757dcf9e4801f66216c69b677a2025abd9",
-    "loglik_A.csv": "d33f1d9cfbd83422fc0f1ebf5c1e9f0d42fc87158fd116556899eb4f0e859ca9",
+    "fit_A.json": "6f49fb2c892217086f292ba07ac3a3f33a2b8b972f2aa6f16cd20bd0e3ad94dd",
+    "loglik_A.csv": "a21a149b30d83ed3679689d2723636adfabde7f4af8468a41fe0e5df7bcfe4af",
     "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
 }
 

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from visitsim import lmm
+from visitsim import jointfit, lmm
+from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.jointfit import (JointParams, _JointData, _evaluate, _starting_theta, fit_joint,
-                               gauss_hermite, joint_loglik, recurrent_frailty_loglik,
+from visitsim.harness import StudyConfig, _replication_rows
+from visitsim.jointfit import (PARAM_NAMES, JointParams, _JointData, _evaluate, _starting_theta,
+                               fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
                                subject_log_contributions)
 from visitsim.lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
+
+
+def preset(name):
+    from importlib import resources
+
+    text = resources.files("visitsim").joinpath(f"presets/{name}.cfg").read_text()
+    return parse_scenario_text(text, source=name)[0]
+
 
 def typical_params(lam=0.3, gamma=1.5):
     return JointParams(1.0, np.log(lam), np.log(1.05), 0.0, 1.0, 0.2, gamma,
@@ -122,14 +132,14 @@ class TestLoglik:
         base = typical_params().to_vector()
         for _ in range(10):
             theta = base + rng.normal(0, 0.15, 10)
-            _, _, grad = _evaluate(theta, data, True)
+            _, _, grad, _ = _evaluate(theta, data, 1)
             for j in range(10):
                 h = 1e-6 * (1 + abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (_evaluate(tp, data, False)[0]
-                      - _evaluate(tm, data, False)[0]) / (2 * h)
+                fd = (_evaluate(tp, data, 0)[0]
+                      - _evaluate(tm, data, 0)[0]) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_subject_reordering_invariance(self):
@@ -209,17 +219,62 @@ class TestFit:
 
 def test_start_values_build_no_information_matrix(monkeypatch):
     # model A starts from model D's point estimates, which need no standard errors
-    from importlib import resources
-
-    text = resources.files("visitsim").joinpath("presets/jm_g15_l030.cfg").read_text()
-    config, _ = parse_scenario_text(text)
+    config = preset("jm_g15_l030")
     panel = simulate_panel(config, config.seed)
     fit_d = fit_lmm(panel, LmmSpec(Adjustment.NONE))
     calls = []
-    real_information = lmm._observed_information
-    monkeypatch.setattr(lmm, "_observed_information", lambda *a: calls.append(a) or real_information(*a))
+    real_information = lmm._information
+    monkeypatch.setattr(lmm, "_information", lambda *a: calls.append(a) or real_information(*a))
     theta0 = _starting_theta(panel, _JointData(panel, 25))
     assert calls == []
     sv2, se2 = (max(fit_d.estimate(k), 1e-4) for k in ("sigma_v2", "sigma_e2"))
     assert list(theta0[3:6]) == list(fit_d.estimates[:3])
     assert list(theta0[8:]) == [0.5 * np.log(sv2), 0.5 * np.log(se2)]
+
+
+@pytest.mark.parametrize("name", [n for n in PRESETS if preset(n).family == "joint_model"] + ["gamma_lagy"])
+def test_information_matches_central_differences(name):
+    # the exact (Louis) information against second central differences of the log
+    # likelihood itself, at model A's estimates on the preset's first study panel
+    cfg = preset(name)
+    panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+    fit = fit_joint(panel)
+    assert fit.converged
+    data = _JointData(panel, 25)
+    theta = JointParams.from_natural(dict(zip(fit.param_names, fit.estimates))).to_vector()
+    hess = _evaluate(theta, data, 2)[3]
+    # a variance at its boundary (sigma_v2 -> 0 on the regular-visit preset) leaves
+    # its log with no curvature to compare
+    keep = [j for j, k in enumerate(PARAM_NAMES) if not (k.startswith("sigma") and fit.estimates[j] < 1e-6)]
+    # about 3e-3 standard errors: rounding of the log likelihood dominates below, its
+    # fourth derivative above
+    steps = 3e-3 / np.sqrt(-np.diag(hess))
+
+    def loglik(i, si, j, sj):
+        t = theta.copy()
+        t[i] += si * steps[i]
+        t[j] += sj * steps[j]
+        return _evaluate(t, data, 0)[0]
+
+    for i in keep:
+        for j in keep:
+            fd = (loglik(i, 1, j, 1) - loglik(i, 1, j, -1) - loglik(i, -1, j, 1)
+                  + loglik(i, -1, j, -1)) / (4.0 * steps[i] * steps[j])
+            assert abs(hess[i, j] - fd) < 1e-6 * np.sqrt(hess[i, i] * hess[j, j]), (PARAM_NAMES[i], PARAM_NAMES[j])
+
+
+@pytest.mark.parametrize("information", [np.full((10, 10), np.nan), -1e300 * np.eye(10)])
+def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, information):
+    # a non-finite information, or one no Cholesky shift can factor, must raise an
+    # error the study loop records as a non-converged fit
+    real = jointfit._evaluate
+
+    def evaluate(theta, data, derivs):
+        ll, contrib, grad, hess = real(theta, data, derivs)
+        return ll, contrib, grad, None if hess is None else information
+
+    monkeypatch.setattr(jointfit, "_evaluate", evaluate)
+    study = StudyConfig(scenario=preset("jm_g15_l010"), models=("A", "D"), replications=2)
+    rows = _replication_rows(study, 1)
+    assert [r.converged for r in rows if r.model == "A"] == [False] * len(PARAM_NAMES)
+    assert all(r.converged for r in rows if r.model == "D")

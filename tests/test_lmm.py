@@ -9,8 +9,7 @@ from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError
 from visitsim.lmm import (GRAD_TOL, Adjustment, LmmSpec, _information, _lmm_estimates,
-                          _negloglik_and_grad, _newton_polish, _observed_information,
-                          design_matrix, fit_lmm, lmm_loglik)
+                          _negloglik_and_grad, design_matrix, fit_lmm, lmm_loglik)
 
 
 def preset(name):
@@ -26,6 +25,20 @@ def random_panel(n_subjects=3, seed=5, c=5.0):
         t = np.concatenate([[0.0], np.sort(rng.uniform(0.1, c - 0.1, n - 1))])
         subs.append(Subject(i + 1, int(rng.integers(0, 2)), c, t, rng.normal(size=n)))
     return build_panel(subs)
+
+
+def central_difference_information(fun_grad, theta):
+    """Central finite differences of the gradient of ``fun_grad``, a reference for closed forms."""
+    n = len(theta)
+    info = np.empty((n, n))
+    for j in range(n):
+        h = 1e-5 * (1.0 + abs(theta[j]))
+        tp = theta.copy()
+        tp[j] += h
+        tm = theta.copy()
+        tm[j] -= h
+        info[:, j] = (fun_grad(tp)[1] - fun_grad(tm)[1]) / (2.0 * h)
+    return 0.5 * (info + info.T)
 
 
 def dense_loglik(alpha, sv2, se2, panel, spec):
@@ -167,18 +180,14 @@ class TestFit:
                            panel, LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
         assert check == pytest.approx(fit.loglik, abs=1e-6)
 
-    def test_converged_fit_builds_no_finite_difference_information(self, monkeypatch):
-        # the standard errors come from the closed-form information
+    def test_converged_fit_builds_no_finite_difference_information(self):
+        # every fit's standard errors come from a closed-form or exact information
         from visitsim import lmm
 
-        calls = []
-        real = lmm._observed_information
-        monkeypatch.setattr(lmm, "_observed_information",
-                            lambda fun_grad, theta: calls.append(theta) or real(fun_grad, theta))
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=80)
-        fit = fit_lmm(simulate_panel(cfg, 46), LmmSpec(Adjustment.NONE))
-        assert fit.converged
-        assert len(calls) == 0
+        assert fit_lmm(simulate_panel(cfg, 46), LmmSpec(Adjustment.NONE)).converged
+        assert not hasattr(lmm, "_observed_information")
+        assert not hasattr(lmm, "_newton_polish")
 
     @pytest.mark.parametrize("seed,rep", [(3239807388, 1), (2743558982, 2)])
     def test_gradient_driven_to_tolerance_on_dense_panels(self, seed, rep):
@@ -217,27 +226,7 @@ def test_information_matches_central_differences(name):
         spec = LmmSpec(adjustment)
         theta, X, *_ = _lmm_estimates(panel, spec)
         info = _information(theta, X, panel)
-        fd = _observed_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
+        fd = central_difference_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
         scale = np.sqrt(np.outer(np.diag(info), np.diag(info)))
         assert np.max(np.abs(info - fd) / scale) < 1e-6, (name, adjustment)
 
-
-class TestNewtonPolish:
-    def test_step_that_raises_f_by_rounding_is_taken(self):
-        # gradient t, information 1: the Newton step lands on the minimum, where f
-        # reads one ulp (3.6e-12) higher, as rounding of an f of 2e4 can make it
-        f0 = 2.0e4
-        fun_grad = lambda t: (f0 + np.spacing(f0), t.copy())  # noqa: E731
-        theta0 = np.array([1e-3, -2e-3])
-        theta, f, g, _ = _newton_polish(fun_grad, theta0, f0, theta0.copy(), GRAD_TOL, 5, 1e-10)
-        np.testing.assert_allclose(theta, 0.0, atol=1e-12)
-        assert np.max(np.abs(g)) < GRAD_TOL
-        assert f == f0 + np.spacing(f0)
-
-    def test_step_that_raises_f_is_refused(self):
-        f0 = 2.0e4
-        fun_grad = lambda t: (f0 + 1e-6, t.copy())  # noqa: E731
-        theta0 = np.array([1e-3, -2e-3])
-        theta, f, g, _ = _newton_polish(fun_grad, theta0, f0, theta0.copy(), GRAD_TOL, 5, 1e-10)
-        np.testing.assert_array_equal(theta, theta0)
-        assert f == f0
