@@ -22,7 +22,7 @@ are no finite differences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.optimize
@@ -79,7 +79,7 @@ class JointParams:
     def __post_init__(self):
         bad = ~np.isfinite(_natural(self.to_vector())) & _IS_LOG
         if np.any(bad):
-            raise ValueError(f"exp({fields(self)[int(np.argmax(bad))].name}) must be positive and finite")
+            raise ValueError(f"{PARAM_NAMES[int(np.argmax(bad))]} must be positive and finite")
 
     @classmethod
     def from_vector(cls, theta) -> "JointParams":

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,6 @@ from visitsim.lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
 
 
 def preset(name):
-    from importlib import resources
-
     text = resources.files("visitsim").joinpath(f"presets/{name}.cfg").read_text()
     return parse_scenario_text(text, source=name)[0]
 
@@ -265,8 +265,8 @@ def test_information_matches_central_differences(name):
 
 @pytest.mark.parametrize("information", [np.full((10, 10), np.nan), -1e300 * np.eye(10)])
 def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, information):
-    # a non-finite information, or one no Cholesky shift can factor, must raise an
-    # error the study loop records as a non-converged fit
+    # a non-finite information raises EstimationError, and -1e300 times the identity
+    # stops the trust region; either way the study records a failed fit of model A
     real = jointfit._evaluate
 
     def evaluate(theta, data, derivs):
