@@ -185,12 +185,12 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
         d = np.column_stack([n * sv2, np.full_like(g, se2)])
         dg = -2.0 * d * (g * g)[:, None]
         x1 = data.x1
-        xr = panel.group_sum(data.X * r0[:, None])          # X'r0 per subject
+        xr = panel.group_sum(data.X * r0[:, None]) - (s / n)[:, None] * x1   # X'(r0 - subject mean)
         dlogL_p = p * panel.group_sum(tp * data.log_gaps) / T_p
 
         J = np.zeros((len(n), 4, 10))
         J[:, 0, :3] = np.column_stack([E * zi, E, E + p * data.sum_d_logt])
-        J[:, 0, 3:6] = (xr - (s / n)[:, None] * x1) / se2 + (s * g / n)[:, None] * x1
+        J[:, 0, 3:6] = xr / se2 + (s * g / n)[:, None] * x1
         J[:, 0, 7] = -1.0
         J[:, 0, 8:] = -d * g[:, None] - 0.5 * between[:, None] * dg
         J[:, 0, 9] += (q - between) / se2 - (n - 1.0)
@@ -219,7 +219,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
         d2[3:6, 3:6] = np.einsum("s,si,sj->ij", (1.0 / se2 - g) / n, x1, x1) - data.xtx / se2
         d2[3:6, 6] = -x1.T @ (mb * g)
         d2[3:6, 8:] = x1.T @ ((s / n - gamma * mb)[:, None] * dg)
-        d2[3:6, 9] -= 2.0 * np.sum(xr - (s / n)[:, None] * x1, axis=0) / se2
+        d2[3:6, 9] -= 2.0 * np.sum(xr, axis=0) / se2
         d2[6, 6] = 2.0 * np.sum(mw * n * g)
         d2[6, 8:] = dg.T @ (mb * s + 2.0 * gamma * mw * n)
         d2[7, 7] = 4.0 * np.sum(mw) / su2
@@ -298,7 +298,7 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
 
     def evaluate(theta):
         if not np.array_equal(theta, last["theta"]):
-            last.update(theta=theta, result=_evaluate(theta, data, 2))
+            last.update(theta=theta.copy(), result=_evaluate(theta, data, 2))
         return last["result"]
 
     def negloglik(theta):
