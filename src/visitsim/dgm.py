@@ -137,14 +137,6 @@ def _weibull_gap(u01, scale, inv_p):
     return (-np.log(u01) / scale) ** inv_p
 
 
-def weibull_cumulative_hazard(t, lam: float, p: float, linpred=0.0):
-    return lam * np.asarray(t, dtype=float) ** p * np.exp(linpred)
-
-
-def weibull_gap_cdf(t, lam: float, p: float, linpred=0.0):
-    return 1.0 - np.exp(-weibull_cumulative_hazard(t, lam, p, linpred))
-
-
 def _subject_rngs(seed, n: int) -> list[np.random.Generator]:
     """One independent Philox substream per subject, split from ``seed``.
 

@@ -21,6 +21,7 @@ are no finite differences.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import astuple, dataclass
 
@@ -46,12 +47,15 @@ _MODE_MAX_ITER = 80
 _U_BOUND = 60.0
 
 
+@functools.lru_cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point Gauss-Hermite rule for expectations against N(0, 1)."""
+    """Nodes and weights of the ``order``-point Gauss-Hermite rule for N(0, 1), computed once and read-only."""
     if order < 3:
         raise ValidationError(f"quadrature order must be >= 3, got {order}")
     x, w = np.polynomial.hermite.hermgauss(order)
-    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    nodes, weights = x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _natural(theta: np.ndarray) -> np.ndarray:
@@ -102,7 +106,9 @@ class _JointData:
     """A panel, an ``order``-node quadrature rule, and the per-subject aggregates the likelihood reuses."""
 
     def __init__(self, panel: PanelDataset, order: int):
-        self.nodes, self.weights = gauss_hermite(order)
+        self.nodes, weights = gauss_hermite(order)
+        # log weight + node^2/2: the rule's log weights with the N(0, 1) density divided out
+        self.log_weights = np.log(weights) + 0.5 * self.nodes**2
         self.panel = panel
         self.log_gaps = np.log(panel.gaps)
         self.events = panel.group_sum(panel.observed.astype(float))
@@ -116,13 +122,14 @@ class _JointData:
 def _find_modes(b, w, lam_eff):
     """Vectorized Newton for the maximizer of b*u - lam_eff*e^u - w*u^2/2 per subject."""
     u = np.zeros_like(b)
+    tol = _MODE_TOL * (1.0 + np.abs(b))
     for _ in range(_MODE_MAX_ITER):
         e = lam_eff * np.exp(u)
         g = b - e - w * u
-        if np.all(np.abs(g) < _MODE_TOL * (1.0 + np.abs(b))):
+        if np.all(np.abs(g) < tol):
             break
-        step = g / (e + w)
-        u = np.clip(u + np.clip(step, -2.0, 2.0), -_U_BOUND, _U_BOUND)
+        step = np.minimum(np.maximum(g / (e + w), -2.0), 2.0)
+        u = np.minimum(np.maximum(u + step, -_U_BOUND), _U_BOUND)
     return u
 
 
@@ -166,7 +173,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
         U = m[:, None] + scale[:, None] * data.nodes[None, :]
         lamU = lam_eff[:, None] * np.exp(U)
         h = (c[:, None] + b[:, None] * U - lamU - 0.5 * w[:, None] * U * U)
-        arg = np.log(data.weights)[None, :] + 0.5 * data.nodes[None, :] ** 2 + h
+        arg = data.log_weights[None, :] + h
         amax = np.max(arg, axis=1)
         sumexp = np.sum(np.exp(arg - amax[:, None]), axis=1)
         contrib = np.log(scale) + 0.5 * LOG_2PI + amax + np.log(sumexp)
@@ -178,7 +185,7 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
     with np.errstate(over="ignore", invalid="ignore"):
         pk = np.exp(arg - amax[:, None]) / sumexp[:, None]   # posterior node weights
         phi = np.stack([U, -lamU, -0.5 * U * U], axis=2)
-        mu = np.einsum("sk,skj->sj", pk, phi)                 # E[phi] past its constant 1
+        mu = (pk[:, None, :] @ phi)[:, 0, :]                  # E[phi] past its constant 1
 
         # g = 1/a and its derivatives in (log sigma_v, log sigma_e), where d a = 2 d
         g = 1.0 / a
@@ -201,22 +208,23 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
         J[:, 3, 6] = 2.0 * gamma * n * g
         J[:, 3, 7] = -2.0 / su2
         J[:, 3, 8:] = gamma * gamma * n[:, None] * dg
-        grad = J[:, 0].sum(axis=0) + np.einsum("sj,sjp->p", mu, J[:, 1:])
+        J1 = J[:, 1:]
+        grad = J[:, 0].sum(axis=0) + mu.reshape(-1) @ J1.reshape(-1, 10)
         if derivs == 1:
             return loglik, contrib, grad, None
 
         dev = phi - mu[:, None, :]
-        cov = np.einsum("sk,ski,skj->sij", pk, dev, dev)
-        hess = np.einsum("sip,sij,sjq->pq", J[:, 1:], cov, J[:, 1:], optimize=True)
+        cov = (dev * pk[..., None]).transpose(0, 2, 1) @ dev
+        hess = J1.reshape(-1, 10).T @ (cov @ J1).reshape(-1, 10)
 
         # sum over subjects of E[phi] . d2 kappa, upper triangle; d2 of Lambda*e^U is
         # Lambda*e^U (d2 log Lambda + d log Lambda d log Lambda')
         mb, mL, mw = mu.T
         d2 = np.zeros((10, 10))
-        d2[:3, :3] = np.einsum("s,si,sj->ij", mL, J[:, 2, :3], J[:, 2, :3])
+        d2[:3, :3] = (mL[:, None] * J[:, 2, :3]).T @ J[:, 2, :3]
         d2[2, 2] += np.sum(mL * (dlogL_p * (1.0 - dlogL_p) + p * p * panel.group_sum(tp * data.log_gaps**2) / T_p)
                            + p * data.sum_d_logt)
-        d2[3:6, 3:6] = np.einsum("s,si,sj->ij", (1.0 / se2 - g) / n, x1, x1) - data.xtx / se2
+        d2[3:6, 3:6] = (((1.0 / se2 - g) / n)[:, None] * x1).T @ x1 - data.xtx / se2
         d2[3:6, 6] = -x1.T @ (mb * g)
         d2[3:6, 8:] = x1.T @ ((s / n - gamma * mb)[:, None] * dg)
         d2[3:6, 9] -= 2.0 * np.sum(xr, axis=0) / se2
@@ -226,9 +234,11 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
         # d2 g = -4 g^2 diag(d) + 8 g^3 d d'; c holds 0.5 log g - 0.5 between g, b gamma s g, w gamma^2 n g
         coef = -0.5 * between + gamma * s * mb + gamma * gamma * n * mw
         d2[8:, 8:] = (np.diag(np.sum(d * (-2.0 * g - 4.0 * coef * g * g)[:, None], axis=0))
-                      + np.einsum("s,si,sj->ij", 2.0 * g * g + 8.0 * coef * g**3, d, d))
+                      + ((2.0 * g * g + 8.0 * coef * g**3)[:, None] * d).T @ d)
         d2[9, 9] -= 2.0 * np.sum(q - between) / se2
-        hess += np.triu(d2) + np.triu(d2, 1).T
+        # the upper triangle, mirrored: the Hessian is exactly symmetric
+        hess = np.triu(hess + d2)
+        hess += np.triu(hess, 1).T
     return loglik, contrib, grad, hess
 
 

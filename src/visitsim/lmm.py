@@ -236,7 +236,7 @@ def _information(theta: np.ndarray, X: np.ndarray, panel: PanelDataset) -> np.nd
 
 def _fit_result(label: str, names, estimates: np.ndarray, ses, fval: float, grad: np.ndarray,
                 iterations: int, reason: str) -> FitResult:
-    """The FitResult of a fit: converged iff ``ses`` is given, else NaN SEs and ``reason``."""
+    """A fit's FitResult: converged iff ``ses`` is given.  The message is ``reason``, plus max|grad| if not."""
     converged = ses is not None
     return FitResult(
         model_label=label,
@@ -246,7 +246,7 @@ def _fit_result(label: str, names, estimates: np.ndarray, ses, fval: float, grad
         loglik=float(-fval),
         converged=converged,
         iterations=int(iterations),
-        message="" if converged else f"{reason}; max|grad|={np.max(np.abs(grad)):.2e}",
+        message=reason if converged else f"{reason}; max|grad|={np.max(np.abs(grad)):.2e}",
     )
 
 

@@ -5,7 +5,8 @@ partial likelihood treats every gap as one risk interval on the renewal
 clock: the risk set at an event gap g contains all gaps (observed or
 censored) with length >= g.  Ties are handled with the Breslow
 approximation.  ``_jackknife_cov`` gives a leave-one-subject-out grouped
-jackknife covariance from one-step Newton replicates.
+jackknife covariance from one-step Newton replicates.  One Newton loop serves
+this fit and the marginal Weibull PH fit behind model A's start values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EstimationError
 
@@ -104,11 +104,12 @@ def cox_partial_loglik(eta, data: _CoxData):
     return _loglik_grad_hess(data, np.atleast_1d(np.asarray(eta, dtype=float)))
 
 
-def _newton(data: _CoxData):
-    """Maximise the partial likelihood from eta = 0: (eta, loglik, iterations, ok, message)."""
-    eta = np.zeros(data.d)
-    loglik, grad, hess = _loglik_grad_hess(data, eta)
-    tol = _grad_tol(data.n_events)
+def _newton(parts, eta: np.ndarray, tol: float):
+    """Maximise ``parts(eta) -> (loglik, grad, hess)`` from ``eta`` until max|grad| < ``tol``.
+
+    Returns (eta, loglik, iterations, ok, message).
+    """
+    loglik, grad, hess = parts(eta)
     noise = 1e-10 * (1.0 + abs(loglik))
     it = 0
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -121,7 +122,7 @@ def _newton(data: _CoxData):
         scale = 1.0
         for _ in range(30):
             cand = eta + scale * step
-            cand_ll, cand_g, cand_h = _loglik_grad_hess(data, cand)
+            cand_ll, cand_g, cand_h = parts(cand)
             if cand_ll >= loglik - noise:
                 eta, loglik, grad, hess = cand, cand_ll, cand_g, cand_h
                 break
@@ -180,43 +181,39 @@ def fit_andersen_gill(data: _CoxData) -> CoxFit:
                       message="no covariate contrast; partial likelihood constant in eta")
 
     # _newton reports ok only where -hess is positive definite
-    eta, loglik, iters, ok, msg = _newton(data)
+    eta, loglik, iters, ok, msg = _newton(lambda e: _loglik_grad_hess(data, e), np.zeros(data.d),
+                                          _grad_tol(data.n_events))
     return CoxFit(eta, loglik, bool(ok), data.n_events, iters, message=msg)
 
 
 # --- Weibull proportional-hazards regression (marginal, no frailty) ---------
 
 
+def _weibull_loglik_grad_hess(data: _CoxData, theta: np.ndarray):
+    """Weibull PH log likelihood, score and Hessian in theta = (log lam, log p, beta)."""
+    d = data.events.astype(float)
+    logt = np.log(data.gaps)
+    sum_d, sum_dlogt = d.sum(), d @ logt
+    p = np.exp(theta[1])
+    lin = data.Z @ theta[2:]
+    cum = np.exp(theta[0] + p * logt + lin)   # lam * t^p * exp(z'beta)
+    G = np.column_stack([np.ones_like(logt), p * logt, data.Z])   # d log(cum) / d theta
+    loglik = sum_d * (theta[0] + theta[1]) + (p - 1.0) * sum_dlogt + d @ lin - np.sum(cum)
+    grad = np.concatenate([[sum_d, sum_d + p * sum_dlogt], d @ data.Z]) - cum @ G
+    hess = -(cum[:, None] * G).T @ G
+    hess[1, 1] += p * (sum_dlogt - cum @ logt)
+    return loglik, grad, hess
+
+
 def fit_weibull_ph(data: _CoxData):
     """MLE of a marginal Weibull PH model on gaps: hazard lam*p*t^(p-1)*exp(z'beta).
 
-    Used for starting values of the joint fit.  Returns (lam, p, beta, ok).
+    Used for starting values of the joint fit.  Returns (lam, p, beta, ok).  The Andersen-Gill
+    fit's Newton loop maximises it in (log lam, log p, beta) from the exponential fit.
     """
     if data.n_events == 0:
         raise EstimationError("no events: every gap record is censored")
-    t = data.gaps
-    d = data.events.astype(float)
-    Z = data.Z
-    logt = np.log(t)
-    sum_d = d.sum()
-
-    def negll_grad(theta):
-        loglam, logp = theta[0], theta[1]
-        beta = theta[2:]
-        lam, p = np.exp(loglam), np.exp(logp)
-        lin = Z @ beta
-        tp = t**p
-        cum = lam * tp * np.exp(lin)
-        ll = np.sum(d * (loglam + logp + (p - 1.0) * logt + lin)) - np.sum(cum)
-        g_loglam = sum_d - np.sum(cum)
-        g_logp = sum_d + p * np.sum(d * logt) - p * np.sum(cum * logt)
-        g_beta = Z.T @ (d - cum)
-        return -ll, -np.concatenate([[g_loglam, g_logp], g_beta])
-
-    lam0 = max(sum_d / np.sum(t), 1e-8)
-    theta0 = np.concatenate([[np.log(lam0), 0.0], np.zeros(data.d)])
-    res = scipy.optimize.minimize(negll_grad, theta0, jac=True, method="BFGS",
-                                  options={"gtol": 1e-8, "maxiter": 200})
-    ok = bool(res.success or np.max(np.abs(res.jac)) < 1e-4)
-    lam, p = float(np.exp(res.x[0])), float(np.exp(res.x[1]))
-    return lam, p, res.x[2:], ok
+    theta0 = np.concatenate([[np.log(max(data.n_events / np.sum(data.gaps), 1e-8)), 0.0], np.zeros(data.d)])
+    theta, _, _, ok, _ = _newton(lambda th: _weibull_loglik_grad_hess(data, th), theta0,
+                                 _grad_tol(data.n_events))
+    return float(np.exp(theta[0])), float(np.exp(theta[1])), theta[2:], bool(ok)

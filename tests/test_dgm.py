@@ -6,8 +6,16 @@ import scipy.stats
 
 from visitsim.dgm import (Family, ScenarioConfig, _subject_rngs, draw_weibull_gap,
                           parse_scenario_text, simulate_gamma_process, simulate_joint_model,
-                          simulate_panel, weibull_gap_cdf)
+                          simulate_panel)
 from visitsim.errors import ConfigError
+
+
+def weibull_cumulative_hazard(t, lam: float, p: float, linpred=0.0):
+    return lam * np.asarray(t, dtype=float) ** p * np.exp(linpred)
+
+
+def weibull_gap_cdf(t, lam: float, p: float, linpred=0.0):
+    return 1.0 - np.exp(-weibull_cumulative_hazard(t, lam, p, linpred))
 
 
 class TestDrawWeibullGap:

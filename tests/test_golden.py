@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "34384030a02d7778f6ff21189d6f7b4c40695d3db7e77cd025371298edc6b292",
-    "gamma_psi2": "2a4ed82208c5c2f6fcfe04ae0f37981a21d43bc7a40556f35446ba2eb409a2e3",
-    "gamma_lagy": "e7cb4a2ad1918114098667682123f96f36eb743282b182a7e79b188928933fcd",
-    "jm_g0_l010": "42b7b9f6982e5f3ec4d2b201a76d1d360a49e63886686857cef41f5ee395b9a7",
-    "jm_g0_l030": "ed0107c1781ad4cac0f8c75d56e8ad29c7301c165804dee787647242a6e1a4ef",
-    "jm_g0_l100": "7eedb8a0e4076477e82190436b64e62ecb54edc14821105e362a7028f06ef3ad",
-    "jm_g15_l010": "d9e319d21021dfd848715e8b188440b72a66c16f4cd5f03fd2cc6aa71d1b26b6",
-    "jm_g15_l030": "4fc2a15aeae0ef69571d984d5b23129dc41c846f949ed6a0d23515300c3c4059",
-    "jm_g15_l100": "9e5868297b63a48ea89f0dc07ed182aac985d23ccdc96ac7577208c846e71b72",
-    "jm_g30_l005_regular": "ec321ae35970e4069412e70fc513a92519a020711b1249dee1005072689de4b0",
+    "gamma_psi0": "582805caa2fc63676eb1fdc573f6fb26a527d2d09df8b53cce6246321b0d54f7",
+    "gamma_psi2": "741c26767e142eed81486a874d52718127fbe7780927cdaf8dc291ea3fcecc49",
+    "gamma_lagy": "5c6cde95442d58b766772d6950ee83e5df51c280c9274e804cc3dbf4d907777c",
+    "jm_g0_l010": "2dda8c2a16953f5aed88d6af6ce5e3dbb0ae782c06919dc447c26be0a5cc07bc",
+    "jm_g0_l030": "b581757b0703fcf8b32deec0db66ee90596ee549c18bf90083b911dbf0ea8e2a",
+    "jm_g0_l100": "2c24042bcefaefdc87a7be9c4a46f2afbd9706c06f4e24e8643c71b932e6c04e",
+    "jm_g15_l010": "c6e520eeefede2e575db5e2264672cff7314ca5879067bb79a9f109012791368",
+    "jm_g15_l030": "f0e84a3b6454c29999b6870a6a4c9fd9050018cda089c7bf159e0d3fbebe25df",
+    "jm_g15_l100": "8b7a3f4f650dc17a0fd0294db700730abc93f77a633906b2ec5e02fc725dbd48",
+    "jm_g30_l005_regular": "57138f04e5e86d5341e306caabb216c89609b7a29a4bc8df07409071b34a7b04",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,8 +64,8 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "6f49fb2c892217086f292ba07ac3a3f33a2b8b972f2aa6f16cd20bd0e3ad94dd",
-    "loglik_A.csv": "a21a149b30d83ed3679689d2723636adfabde7f4af8468a41fe0e5df7bcfe4af",
+    "fit_A.json": "5cf33797b57e27498054dd2bf30853c364bdb41f132dc41f75a038369278c1ff",
+    "loglik_A.csv": "98a20e9b18e105f93760a8bcf4300f4bfb288e58c180883e597b7dac4aa1cfcd",
     "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
 }
 

@@ -85,6 +85,18 @@ class TestQuadratureRule:
         assert float(weights @ nodes**2) == pytest.approx(1.0, abs=1e-12)
         assert float(weights @ nodes**4) == pytest.approx(3.0, abs=1e-10)
 
+    def test_rule_computed_once_and_read_only(self):
+        nodes, weights = gauss_hermite(25)
+        again = gauss_hermite(25)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # a bad order is not cached: it raises on every call
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
+                gauss_hermite(2)
+
 
 class TestLoglik:
     def test_gamma_zero_separability(self):
@@ -141,6 +153,18 @@ class TestLoglik:
                 fd = (_evaluate(tp, data, 0)[0]
                       - _evaluate(tm, data, 0)[0]) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_gradient_same_at_every_derivative_order_and_hessian_symmetric(self):
+        # trust-exact reads the gradient from the derivs-2 evaluation
+        cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40)
+        data = _JointData(simulate_panel(cfg, 42), 25)
+        theta = typical_params().to_vector() + np.random.default_rng(1).normal(0, 0.15, 10)
+        ll1, contrib1, grad1, hess1 = _evaluate(theta, data, 1)
+        ll2, contrib2, grad2, hess2 = _evaluate(theta, data, 2)
+        assert hess1 is None
+        assert ll1 == ll2 and np.array_equal(contrib1, contrib2)
+        assert np.array_equal(grad1, grad2)
+        assert np.array_equal(hess2, hess2.T)
 
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=30)
@@ -230,6 +254,24 @@ def test_start_values_build_no_information_matrix(monkeypatch):
     sv2, se2 = (max(fit_d.estimate(k), 1e-4) for k in ("sigma_v2", "sigma_e2"))
     assert list(theta0[3:6]) == list(fit_d.estimates[:3])
     assert list(theta0[8:]) == [0.5 * np.log(sv2), 0.5 * np.log(se2)]
+
+
+def test_weibull_fallback_start_when_fit_fails(monkeypatch):
+    # a Weibull fit that reports ok = False gives way to the exponential rate, p = 1, beta = 0
+    config = preset("jm_g15_l030")
+    panel = simulate_panel(config, config.seed)
+    data = _JointData(panel, 25)
+    monkeypatch.setattr(jointfit, "fit_weibull_ph", lambda cox: (2.0, 3.0, np.array([0.5]), False))
+    theta0 = _starting_theta(panel, data)
+    assert list(theta0[:3]) == [0.0, np.log(np.sum(data.events) / np.sum(panel.gaps)), 0.0]
+
+
+def test_converged_fit_keeps_the_optimizer_stop_reason():
+    config = preset("jm_g15_l030")
+    fit = fit_joint(simulate_panel(config, config.seed))
+    assert fit.converged
+    assert fit.message.startswith("optimizer:")
+    assert "max|grad|" not in fit.message
 
 
 @pytest.mark.parametrize("name", [n for n in PRESETS if preset(n).family == "joint_model"] + ["gamma_lagy"])

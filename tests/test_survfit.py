@@ -1,11 +1,15 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+import scipy.optimize
 
-from visitsim.dgm import ScenarioConfig, simulate_panel
+from visitsim import survfit
+from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import GapRecord, build_panel
 from visitsim.errors import EstimationError
-from visitsim.survfit import (_CoxData, _jackknife_cov, cox_partial_loglik, fit_andersen_gill,
-                              fit_weibull_ph)
+from visitsim.survfit import (_CoxData, _grad_tol, _jackknife_cov, _weibull_loglik_grad_hess,
+                              cox_partial_loglik, fit_andersen_gill, fit_weibull_ph)
 
 
 def rec(sid, idx, gap, obs, *cov):
@@ -180,3 +184,62 @@ class TestOnSimulatedPanels:
         assert lam == pytest.approx(0.30, rel=0.1)
         assert p == pytest.approx(1.05, rel=0.05)
         assert beta[0] == pytest.approx(1.0, abs=0.15)
+
+
+def preset_cox_data(name):
+    text = resources.files("visitsim").joinpath(f"presets/{name}.cfg").read_text()
+    cfg = parse_scenario_text(text, source=name)[0]
+    return _CoxData.from_panel(simulate_panel(cfg, cfg.seed))
+
+
+@pytest.mark.parametrize("name", ["jm_g15_l030", "gamma_lagy"])
+class TestWeibullNewton:
+    def test_score_below_tolerance_at_answer(self, name):
+        data = preset_cox_data(name)
+        lam, p, beta, ok = fit_weibull_ph(data)
+        assert ok
+        _, grad, _ = _weibull_loglik_grad_hess(data, np.concatenate([[np.log(lam), np.log(p)], beta]))
+        assert np.max(np.abs(grad)) < _grad_tol(data.n_events)
+
+    def test_hessian_matches_central_differences_of_score(self, name):
+        data = preset_cox_data(name)
+        lam, p, beta, _ = fit_weibull_ph(data)
+        theta = np.concatenate([[np.log(lam), np.log(p)], beta]) + 0.05
+        hess = _weibull_loglik_grad_hess(data, theta)[2]
+        for j in range(len(theta)):
+            h = 1e-5
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            fd = (_weibull_loglik_grad_hess(data, up)[1] - _weibull_loglik_grad_hess(data, down)[1]) / (2 * h)
+            assert np.all(np.abs(hess[:, j] - fd) <= 1e-6 * np.sqrt(np.diag(hess) * hess[j, j]))
+
+    def test_agrees_with_bfgs(self, name):
+        data = preset_cox_data(name)
+        lam, p, beta, _ = fit_weibull_ph(data)
+        newton = np.concatenate([[lam, p], beta])
+
+        def negll(theta):
+            ll, grad, _ = _weibull_loglik_grad_hess(data, theta)
+            return -ll, -grad
+
+        theta0 = np.concatenate([[np.log(data.n_events / np.sum(data.gaps)), 0.0], np.zeros(data.d)])
+        res = scipy.optimize.minimize(negll, theta0, jac=True, method="BFGS", options={"gtol": 1e-10})
+        bfgs = np.concatenate([np.exp(res.x[:2]), res.x[2:]])
+        np.testing.assert_allclose(newton, bfgs, rtol=1e-6, atol=0)
+
+
+def test_weibull_loglik_matches_direct_sum():
+    # the closed form against the log likelihood summed gap by gap
+    data = preset_cox_data("jm_g15_l010")
+    lam, p, beta = 0.4, 1.2, np.array([0.7])
+    cum = lam * data.gaps**p * np.exp(data.Z @ beta)
+    log_hazard = np.log(lam * p * data.gaps ** (p - 1.0)) + data.Z @ beta
+    direct = np.sum(np.where(data.events, log_hazard, 0.0) - cum)
+    ll, _, _ = _weibull_loglik_grad_hess(data, np.array([np.log(lam), np.log(p), beta[0]]))
+    assert ll == pytest.approx(direct, rel=1e-12)
+
+
+def test_one_newton_loop_and_no_scipy_optimize():
+    assert "scipy" not in vars(survfit)
+    assert [k for k, v in vars(survfit).items() if callable(v) and "newton" in k.lower()] == ["_newton"]
