@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _resolve_config_path(value: str):
     """A config is either an existing file path or the name of a shipped preset."""
     if os.path.exists(value):
-        return value, open(value, "rb").read()
+        return value, Path(value).read_bytes()
     name = value[:-4] if value.endswith(".cfg") else value
     if name in PRESETS:
         data = resources.files("visitsim").joinpath(f"presets/{name}.cfg").read_bytes()
@@ -141,7 +142,7 @@ def _cmd_run_study(args) -> int:
     est_path = os.path.join(args.out_dir, "estimates.csv")
     perf_path = os.path.join(args.out_dir, "performance.csv")
     table.write_csv(est_path)
-    perf = summarize(table, truths, params=tuple(sorted(truths)))
+    perf = summarize(table, truths)
     perf.write_csv(perf_path)
     _write_manifest(args.out_dir, "run-study", sha, config, config.seed, [est_path, perf_path],
                     extra={"models": list(models), "replications": reps,
@@ -155,7 +156,7 @@ def _cmd_run_study(args) -> int:
 def _cmd_summarize(args) -> int:
     config, truths, sha = _load_scenario(args.config, None)
     table = EstimatesTable.read_csv(args.estimates)
-    perf = summarize(table, truths, params=tuple(sorted(truths)))
+    perf = summarize(table, truths)
     perf.write_csv(args.out)
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "summarize", sha, config,
                     config.seed, [args.out], extra={"estimates": os.path.basename(args.estimates),
@@ -181,7 +182,7 @@ def _cmd_diagnose(args) -> int:
     panel = read_panel_csv(args.panel)
     diag = diagnose_informativeness(panel, covariate=args.covariate,
                                     n_permutations=args.permutations, seed=args.seed or 0)
-    write_atomic(args.out, json.dumps(diag.to_json_dict(), indent=2) + "\n")
+    write_atomic(args.out, json.dumps(asdict(diag), indent=2) + "\n")
     if diag.applicable:
         print(f"Spearman rho({args.covariate}, gap) = {diag.spearman_rho:.4f} "
               f"(permutation p = {diag.spearman_pvalue:.4f})")

@@ -174,12 +174,19 @@ def build_panel(subjects, scenario_tag: str = "") -> PanelDataset:
 
 
 def write_atomic(path, data: str) -> None:
-    """Write text to ``path`` via a temp file and rename, so readers never see partial output."""
+    """Write text to ``path`` via a temp file and rename, so readers never see partial output.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the temp file's 0o600.
+    """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -24,7 +24,7 @@ from .domain import FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import fit_joint, gauss_hermite
-from .lmm import Adjustment, LmmSpec, fit_lmm
+from .lmm import Adjustment, fit_lmm
 from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
 ESTIMATES_CSV_COLUMNS = ("scenario", "rep", "model", "param", "est", "se", "converged")
@@ -32,15 +32,11 @@ PERFORMANCE_CSV_COLUMNS = ("scenario", "model", "param", "truth", "mean_est", "b
                            "emp_se", "mod_se", "mse", "mse_mcse", "coverage", "coverage_mcse",
                            "conv_rate")
 
-_LMM_SPECS = {
-    "B": LmmSpec(Adjustment.TOTAL_COUNT_CENTERED),
-    "C": LmmSpec(Adjustment.CUMULATIVE_COUNT),
-    "D": LmmSpec(Adjustment.NONE),
-}
+_LMM_SPECS = {a.value: a for a in Adjustment}
 
 _MODEL_PARAMS = {
     "A": jointfit.PARAM_NAMES,
-    **{label: spec.param_names for label, spec in _LMM_SPECS.items()},
+    **{label: adjustment.param_names for label, adjustment in _LMM_SPECS.items()},
     "E": iivw.PARAM_NAMES,
 }
 
@@ -255,20 +251,18 @@ class PerformanceTable:
         write_atomic(path, self.to_csv_text())
 
 
-def summarize(estimates: EstimatesTable, truths: dict[str, float],
-              params: tuple[str, ...] | None = None) -> PerformanceTable:
+def summarize(estimates: EstimatesTable, truths: dict[str, float]) -> PerformanceTable:
     """Bias, empirical/model SE, MSE and coverage with Monte Carlo SEs.
 
-    Computed over converged replications only.  A (model, parameter) with
-    fewer than 2 of them keeps its row, with NaN measures and its
-    ``conv_rate``, and raises a RuntimeWarning.  ``params`` restricts the
-    summary to a subset; by default every parameter present must have an
-    entry in ``truths``.
+    Covers the parameters that have an entry in ``truths``; the others are
+    left out.  Computed over converged replications only.  A (model,
+    parameter) with fewer than 2 of them keeps its row, with NaN measures and
+    its ``conv_rate``, and raises a RuntimeWarning.
     """
     groups: dict[tuple[str, str, str], list[EstimateRow]] = {}
     order: list[tuple[str, str, str]] = []
     for row in estimates:
-        if params is not None and row.param not in params:
+        if row.param not in truths:
             continue
         key = (row.scenario, row.model, row.param)
         if key not in groups:
@@ -280,8 +274,6 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float],
     for key in sorted(order):
         scenario, model, param = key
         rows = groups[key]
-        if param not in truths:
-            raise EstimationError(f"no true value supplied for parameter {param!r}")
         truth = truths[param]
         # canonical replication order so aggregation is exactly permutation-invariant
         rows = sorted(rows, key=lambda r: r.rep)
@@ -387,18 +379,6 @@ class InformativenessDiagnostics:
     ag_hazard_ratio: float
     ag_hr_ci: tuple[float, float]
     ag_converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "covariate": self.covariate,
-            "applicable": self.applicable,
-            "n_gaps": self.n_gaps,
-            "spearman_rho": self.spearman_rho,
-            "spearman_pvalue": self.spearman_pvalue,
-            "ag_hazard_ratio": self.ag_hazard_ratio,
-            "ag_hr_ci": list(self.ag_hr_ci),
-            "ag_converged": self.ag_converged,
-        }
 
 
 def diagnose_informativeness(panel: PanelDataset, covariate="z",

@@ -15,8 +15,10 @@ costs O(total rows + subjects * quadrature order).  The parameters enter
 each subject's integrand through four coefficients only, so the score and
 the exact observed information follow from posterior moments of the frailty
 at the nodes (Louis, JRSS-B 1982).  ``fit_joint`` is a trust-region Newton
-method on that information, which also gives the standard errors; there
-are no finite differences.
+method on that information, started from model D's profiled point
+estimates and a Weibull fit; there are no finite differences.  The fit's
+convergence rule and delta-method standard errors are those of models B to
+D: ``lmm._fit_result``, on the same information.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import scipy.optimize
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
-from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, LmmSpec, _fit_result, _lmm_estimates,
-                  _se_from_information, lmm_loglik)
+from .lmm import GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, _fit_result, _lmm_estimates, lmm_loglik
 from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
@@ -265,13 +266,13 @@ def recurrent_frailty_loglik(beta: float, lam: float, p: float, sigma_u2: float,
                         0.5 * np.log(sigma_u2), 0.0, 0.0).to_vector()
     # run the full evaluation, then subtract the longitudinal factor at gamma=0
     loglik, *_ = _evaluate(theta, _JointData(panel, order), 0)
-    return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel, LmmSpec(Adjustment.NONE))
+    return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel)
 
 
 def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
     try:
-        # model D's point estimates; its standard errors are not needed here
-        theta, *_ = _lmm_estimates(panel, LmmSpec(Adjustment.NONE))
+        # model D's point estimates; its likelihood and standard errors are not needed here
+        theta, *_ = _lmm_estimates(panel, Adjustment.NONE)
         a0, a1, a2 = theta[:3]
         sv2 = max(float(np.exp(2.0 * theta[3])), 1e-4)
         se2 = max(float(np.exp(2.0 * theta[4])), 1e-4)
@@ -326,8 +327,6 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     res = scipy.optimize.minimize(negloglik, _starting_theta(panel, data), jac=True, hess=information,
                                   method="trust-exact", options={"gtol": GRAD_TOL, "maxiter": MAX_ITER})
     estimates = _natural(res.x)
-    ses = None
-    if np.isfinite(res.fun) and np.max(np.abs(res.jac)) < 1e-4:
-        # d value / d theta is c * value for a scale parameter, 1 for the others
-        ses = _se_from_information(res.hess, np.where(_IS_LOG, _C * estimates, 1.0))
-    return _fit_result("A", PARAM_NAMES, estimates, ses, res.fun, res.jac, res.nit, f"optimizer: {res.message}")
+    # d value / d theta is c * value for a scale parameter, 1 for the others
+    return _fit_result("A", PARAM_NAMES, estimates, res.fun, res.jac, res.hess,
+                       np.where(_IS_LOG, _C * estimates, 1.0), res.nit, f"optimizer: {res.message}")

@@ -21,7 +21,7 @@ from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, ru
                               summarize)
 from visitsim.iivw import fit_wgee
 from visitsim.jointfit import JointParams, joint_loglik, recurrent_frailty_loglik
-from visitsim.lmm import Adjustment, LmmSpec, design_matrix, lmm_loglik
+from visitsim.lmm import Adjustment, design_matrix, lmm_loglik
 from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 
 from test_jointfit import mc_oracle
@@ -72,7 +72,7 @@ def studies():
 
 def perf(studies, name):
     scenario, truths, table = studies[name]
-    return summarize(table, truths, params=tuple(sorted(truths)))
+    return summarize(table, truths)
 
 
 def replication_control_variate(scenario: ScenarioConfig, rep: int) -> float:
@@ -293,7 +293,7 @@ class TestCriterion7OracleEquivalences:
             ScenarioConfig(family="joint_model", weibull_scale=0.30, gamma=1.5, n_subjects=25), 7)
 
         # (a) mixed-model likelihood vs dense MVN evaluation
-        spec = LmmSpec(Adjustment.NONE)
+        spec = Adjustment.NONE
         alpha = np.array([0.3, 0.8, 0.1])
         ours = lmm_loglik(alpha, 0.6, 1.2, rng_panel, spec)
         oracle = dense_loglik(alpha, 0.6, 1.2, rng_panel, spec)

@@ -1,10 +1,13 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visitsim.domain import (FitResult, PanelDataset, Subject, build_panel, read_panel_csv,
-                             write_panel_csv)
+                             write_atomic, write_panel_csv)
 from visitsim.errors import ValidationError
 
 
@@ -230,6 +233,20 @@ class TestPanelCsv:
                         "1,0,5.0,0.0,0.1\n1,1,5.0,1.0,0.2\n")
         with pytest.raises(ValidationError, match="inconsistent"):
             read_panel_csv(path)
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_atomic(tmp_path / "out.txt", "x\n")
+            (tmp_path / "plain.txt").write_text("x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == mode
+        assert (tmp_path / "out.txt").read_text() == "x\n"
 
 
 class TestRowArrays:

@@ -12,7 +12,7 @@ from visitsim.harness import StudyConfig, _replication_rows
 from visitsim.jointfit import (PARAM_NAMES, JointParams, _JointData, _evaluate, _starting_theta,
                                fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
                                subject_log_contributions)
-from visitsim.lmm import Adjustment, LmmSpec, fit_lmm, lmm_loglik
+from visitsim.lmm import Adjustment, fit_lmm, lmm_loglik
 
 
 def preset(name):
@@ -108,7 +108,7 @@ class TestLoglik:
                              np.log(0.9), 0.5 * np.log(0.45), 0.5 * np.log(1.1))
         joint = joint_loglik(params, panel, 25)
         rec = recurrent_frailty_loglik(0.9, 0.28, 1.1, 0.81, panel, 25)
-        lmm_part = lmm_loglik([0.1, 0.9, 0.25], 0.45, 1.1, panel, LmmSpec(Adjustment.NONE))
+        lmm_part = lmm_loglik([0.1, 0.9, 0.25], 0.45, 1.1, panel, Adjustment.NONE)
         assert abs(joint - rec - lmm_part) < 1e-8
 
     @pytest.mark.parametrize("lam,gamma", [(0.10, 0.0), (0.30, 1.5), (1.00, 1.5)])
@@ -242,13 +242,14 @@ class TestFit:
 
 
 def test_start_values_build_no_information_matrix(monkeypatch):
-    # model A starts from model D's point estimates, which need no standard errors
+    # model A starts from model D's point estimates, which need neither its likelihood,
+    # nor its gradient, nor its standard errors
     config = preset("jm_g15_l030")
     panel = simulate_panel(config, config.seed)
-    fit_d = fit_lmm(panel, LmmSpec(Adjustment.NONE))
+    fit_d = fit_lmm(panel, Adjustment.NONE)
     calls = []
-    real_information = lmm._information
-    monkeypatch.setattr(lmm, "_information", lambda *a: calls.append(a) or real_information(*a))
+    real_evaluate = lmm._evaluate
+    monkeypatch.setattr(lmm, "_evaluate", lambda *a: calls.append(a) or real_evaluate(*a))
     theta0 = _starting_theta(panel, _JointData(panel, 25))
     assert calls == []
     sv2, se2 = (max(fit_d.estimate(k), 1e-4) for k in ("sigma_v2", "sigma_e2"))

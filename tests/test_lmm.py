@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from visitsim import lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError
-from visitsim.lmm import (GRAD_TOL, Adjustment, LmmSpec, _information, _lmm_estimates,
-                          _negloglik_and_grad, design_matrix, fit_lmm, lmm_loglik)
+from visitsim.lmm import (GRAD_TOL, Adjustment, _evaluate, _fit_result, _lmm_estimates, design_matrix,
+                          fit_lmm, lmm_loglik)
 
 
 def preset(name):
@@ -41,9 +42,9 @@ def central_difference_information(fun_grad, theta):
     return 0.5 * (info + info.T)
 
 
-def dense_loglik(alpha, sv2, se2, panel, spec):
+def dense_loglik(alpha, sv2, se2, panel, adjustment):
     """Brute-force dense MVN density evaluation (Cholesky via scipy)."""
-    X = design_matrix(panel, spec)
+    X = design_matrix(panel, adjustment)
     total, pos = 0.0, 0
     for s in panel.subjects:
         n = s.n_visits
@@ -57,71 +58,67 @@ def dense_loglik(alpha, sv2, se2, panel, spec):
 class TestLoglik:
     def test_matches_dense_oracle(self):
         panel = random_panel()
-        spec = LmmSpec(Adjustment.NONE)
         alpha = np.array([0.3, -0.2, 0.15])
-        ours = lmm_loglik(alpha, 0.7, 1.3, panel, spec)
-        oracle = dense_loglik(alpha, 0.7, 1.3, panel, spec)
+        ours = lmm_loglik(alpha, 0.7, 1.3, panel)
+        oracle = dense_loglik(alpha, 0.7, 1.3, panel, Adjustment.NONE)
         assert abs(ours - oracle) < 1e-10
 
     @pytest.mark.parametrize("adjustment", list(Adjustment))
     def test_matches_dense_oracle_all_designs(self, adjustment):
         panel = random_panel(n_subjects=6, seed=8)
-        spec = LmmSpec(adjustment)
-        k = design_matrix(panel, spec).shape[1]
+        k = design_matrix(panel, adjustment).shape[1]
         alpha = np.linspace(-0.5, 0.5, k)
-        assert abs(lmm_loglik(alpha, 0.4, 0.9, panel, spec)
-                   - dense_loglik(alpha, 0.4, 0.9, panel, spec)) < 1e-10
+        assert abs(lmm_loglik(alpha, 0.4, 0.9, panel, adjustment)
+                   - dense_loglik(alpha, 0.4, 0.9, panel, adjustment)) < 1e-10
 
     def test_single_observation_limit(self):
         # one subject, one row, sigma_v2 -> 0: plain normal density
         panel = build_panel([Subject(1, 1, 5.0, [0.0], [0.7]),
                              Subject(2, 0, 5.0, [0.0], [-0.1])])
-        spec = LmmSpec(Adjustment.NONE)
         alpha = np.array([0.1, 0.2, 0.0])
-        got = lmm_loglik(alpha, 1e-14, 1.1, panel, spec)
+        got = lmm_loglik(alpha, 1e-14, 1.1, panel)
         mus = np.array([0.1 + 0.2, 0.1])
         expected = scipy.stats.norm.logpdf([0.7, -0.1], loc=mus, scale=np.sqrt(1.1)).sum()
         assert abs(got - expected) < 1e-8
 
     def test_gradient_matches_finite_differences(self):
         panel = random_panel(n_subjects=8, seed=13)
-        X = design_matrix(panel, LmmSpec(Adjustment.NONE))
+        X = design_matrix(panel, Adjustment.NONE)
         rng = np.random.default_rng(1)
         for _ in range(10):
             theta = np.concatenate([rng.normal(0, 0.5, 3), rng.normal(0, 0.3, 2)])
-            _, g = _negloglik_and_grad(theta, X, panel)
+            _, g, _ = _evaluate(theta, X, panel, 1)
             for j in range(5):
                 h = 1e-6 * (1 + abs(theta[j]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (_negloglik_and_grad(tp, X, panel)[0] - _negloglik_and_grad(tm, X, panel)[0]) / (2 * h)
+                fd = (_evaluate(tp, X, panel, 0)[0] - _evaluate(tm, X, panel, 0)[0]) / (2 * h)
                 assert abs(g[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_model_b_at_zero_alpha3_equals_model_d(self):
         panel = random_panel(n_subjects=10, seed=3)
         alpha = np.array([0.2, -0.1, 0.3])
-        ll_d = lmm_loglik(alpha, 0.5, 1.0, panel, LmmSpec(Adjustment.NONE))
-        ll_b = lmm_loglik(np.append(alpha, 0.0), 0.5, 1.0, panel,
-                          LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
+        ll_d = lmm_loglik(alpha, 0.5, 1.0, panel, Adjustment.NONE)
+        ll_b = lmm_loglik(np.append(alpha, 0.0), 0.5, 1.0, panel, Adjustment.TOTAL_COUNT_CENTERED)
         assert abs(ll_d - ll_b) < 1e-12
 
     def test_invalid_variances(self):
         panel = random_panel()
         with pytest.raises(ValueError):
-            lmm_loglik([0.0, 0.0, 0.0], -1.0, 1.0, panel, LmmSpec(Adjustment.NONE))
+            lmm_loglik([0.0, 0.0, 0.0], -1.0, 1.0, panel, Adjustment.NONE)
 
 
 class TestDesignMatrix:
     def test_model_c_counts_are_cumulative_inclusive(self):
         panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0, 2.0], [0.0] * 3)])
-        X = design_matrix(panel, LmmSpec(Adjustment.CUMULATIVE_COUNT))
+        X = design_matrix(panel, Adjustment.CUMULATIVE_COUNT)
         np.testing.assert_array_equal(X[:, 3], [1.0, 2.0, 3.0])
 
     def test_model_b_centering(self):
         panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0], [0.0] * 2),
                              Subject(2, 1, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)])
-        X = design_matrix(panel, LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
+        X = design_matrix(panel, Adjustment.TOTAL_COUNT_CENTERED)
         np.testing.assert_allclose(X[:2, 3], -1.0)   # 2 visits, mean count 3
         np.testing.assert_allclose(X[2:, 3], 1.0)
 
@@ -135,15 +132,15 @@ class TestFit:
             z = int(rng.integers(0, 2))
             y = 2.0 + 1.0 * z + 0.5 * t + rng.normal(0, 1e-6, 4)
             subs.append(Subject(i + 1, z, 5.0, t, y))
-        fit = fit_lmm(build_panel(subs), LmmSpec(Adjustment.NONE))
+        fit = fit_lmm(build_panel(subs), Adjustment.NONE)
         np.testing.assert_allclose(fit.estimates[:3], [2.0, 1.0, 0.5], atol=1e-4)
 
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=60)
         panel = simulate_panel(cfg, 44)
         rev = build_panel(panel.subjects[::-1])
-        a = fit_lmm(panel, LmmSpec(Adjustment.NONE))
-        b = fit_lmm(rev, LmmSpec(Adjustment.NONE))
+        a = fit_lmm(panel, Adjustment.NONE)
+        b = fit_lmm(rev, Adjustment.NONE)
         np.testing.assert_allclose(a.estimates, b.estimates, atol=1e-8)
 
     def test_shift_equivariance(self):
@@ -153,8 +150,8 @@ class TestFit:
             Subject(s.id, s.z, s.censoring_time, s.visit_times, s.outcomes + 5.0)
             for s in panel.subjects
         ])
-        a = fit_lmm(panel, LmmSpec(Adjustment.NONE))
-        b = fit_lmm(shifted, LmmSpec(Adjustment.NONE))
+        a = fit_lmm(panel, Adjustment.NONE)
+        b = fit_lmm(shifted, Adjustment.NONE)
         assert b.estimate("alpha0") - a.estimate("alpha0") == pytest.approx(5.0, abs=1e-6)
         np.testing.assert_allclose(a.estimates[1:], b.estimates[1:], atol=1e-6)
 
@@ -162,30 +159,28 @@ class TestFit:
         # constant covariate z makes the treatment column collinear with the intercept
         subs = [Subject(i + 1, 1, 5.0, [0.0, 1.0], [0.1, 0.2]) for i in range(5)]
         with pytest.raises(EstimationError, match="alpha"):
-            fit_lmm(build_panel(subs), LmmSpec(Adjustment.NONE))
+            fit_lmm(build_panel(subs), Adjustment.NONE)
 
     def test_two_subject_precondition(self):
         panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
         with pytest.raises(EstimationError):
-            fit_lmm(panel, LmmSpec(Adjustment.NONE))
+            fit_lmm(panel, Adjustment.NONE)
 
     def test_ses_and_loglik_reported(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=80)
         panel = simulate_panel(cfg, 46)
-        fit = fit_lmm(panel, LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
+        fit = fit_lmm(panel, Adjustment.TOTAL_COUNT_CENTERED)
         assert fit.converged
         assert fit.model_label == "B"
         assert np.all(fit.std_errors > 0)
         check = lmm_loglik(fit.estimates[:4], fit.estimate("sigma_v2"), fit.estimate("sigma_e2"),
-                           panel, LmmSpec(Adjustment.TOTAL_COUNT_CENTERED))
+                           panel, Adjustment.TOTAL_COUNT_CENTERED)
         assert check == pytest.approx(fit.loglik, abs=1e-6)
 
     def test_converged_fit_builds_no_finite_difference_information(self):
         # every fit's standard errors come from a closed-form or exact information
-        from visitsim import lmm
-
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=80)
-        assert fit_lmm(simulate_panel(cfg, 46), LmmSpec(Adjustment.NONE)).converged
+        assert fit_lmm(simulate_panel(cfg, 46), Adjustment.NONE).converged
         assert not hasattr(lmm, "_observed_information")
         assert not hasattr(lmm, "_newton_polish")
 
@@ -194,9 +189,10 @@ class TestFit:
         # on these jm_g15_l100 panels a minimum of the deviance placed to 1e-8 in log rho
         # leaves max|grad| at about 1e-4; the root of its slope does not
         panel = simulate_panel(preset("jm_g15_l100"), np.random.SeedSequence(seed, spawn_key=(rep,)))
-        spec = LmmSpec(Adjustment.TOTAL_COUNT_CENTERED)
-        assert fit_lmm(panel, spec).converged
-        *_, grad = _lmm_estimates(panel, spec)
+        adjustment = Adjustment.TOTAL_COUNT_CENTERED
+        assert fit_lmm(panel, adjustment).converged
+        theta, X, _ = _lmm_estimates(panel, adjustment)
+        _, grad, _ = _evaluate(theta, X, panel, 1)
         assert np.max(np.abs(grad)) <= GRAD_TOL
 
     def test_zero_random_intercept_variance_converges(self):
@@ -209,7 +205,7 @@ class TestFit:
             z = i % 2
             y = 1.0 + 0.5 * z + 0.2 * t + rng.uniform(0.5, 1.5) * np.array([1.0, -2.0, 1.0])
             subs.append(Subject(i + 1, z, 5.0, t, y))
-        fit = fit_lmm(build_panel(subs), LmmSpec(Adjustment.NONE))
+        fit = fit_lmm(build_panel(subs), Adjustment.NONE)
         assert fit.converged
         np.testing.assert_allclose(fit.estimates[:3], [1.0, 0.5, 0.2], atol=1e-10)
         assert fit.estimate("sigma_v2") < 1e-10 * fit.estimate("sigma_e2")
@@ -223,10 +219,64 @@ def test_information_matches_central_differences(name):
     cfg = preset(name)
     panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     for adjustment in Adjustment:
-        spec = LmmSpec(adjustment)
-        theta, X, *_ = _lmm_estimates(panel, spec)
-        info = _information(theta, X, panel)
-        fd = central_difference_information(lambda t: _negloglik_and_grad(t, X, panel), theta)
+        theta, X, _ = _lmm_estimates(panel, adjustment)
+        info = _evaluate(theta, X, panel, 2)[2]
+        fd = central_difference_information(lambda t: _evaluate(t, X, panel, 1), theta)
         scale = np.sqrt(np.outer(np.diag(info), np.diag(info)))
         assert np.max(np.abs(info - fd) / scale) < 1e-6, (name, adjustment)
 
+
+def test_adjustment_value_is_the_model_label():
+    cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=40)
+    panel = simulate_panel(cfg, 47)
+    assert [a.value for a in Adjustment] == ["D", "B", "C"]
+    for adjustment in Adjustment:
+        fit = fit_lmm(panel, adjustment)
+        assert (fit.model_label, fit.param_names) == (adjustment.value, adjustment.param_names)
+        assert len(fit.param_names) == design_matrix(panel, adjustment).shape[1] + 2
+
+
+def test_fit_evaluates_the_likelihood_once(monkeypatch):
+    # one evaluation at the profile's optimum gives the log likelihood, the gradient the
+    # convergence rule reads and the information behind the standard errors
+    cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=80)
+    panel = simulate_panel(cfg, 46)
+    calls = []
+    real_evaluate = lmm._evaluate
+    monkeypatch.setattr(lmm, "_evaluate", lambda *a: calls.append(a[3]) or real_evaluate(*a))
+    fit = fit_lmm(panel, Adjustment.CUMULATIVE_COUNT)
+    assert fit.converged
+    assert calls == [2]
+
+
+class TestConvergenceRule:
+    """``_fit_result``: the one convergence rule of models A to D and its standard errors."""
+
+    INFO = np.array([[4.0, 1.0], [1.0, 2.0]])
+    JACOBIAN = np.array([1.0, 4.0])
+
+    def result(self, fval=10.0, grad=(1e-6, -1e-6), info=INFO):
+        return _fit_result("D", ("a", "b"), np.array([1.0, 2.0]), fval, np.array(grad), info,
+                           self.JACOBIAN, 3, "profile search")
+
+    @pytest.mark.parametrize("case", [
+        {"fval": np.inf}, {"fval": np.nan}, {"grad": (2e-4, 0.0)},
+        {"info": np.array([[1.0, 1.0], [1.0, 1.0]])},   # singular
+        {"info": np.array([[1.0, 2.0], [2.0, 1.0]])},   # not positive definite
+    ], ids=["f-inf", "f-nan", "grad-2e-4", "singular", "indefinite"])
+    def test_not_converged(self, case):
+        fit = self.result(**case)
+        assert not fit.converged
+        assert np.all(np.isnan(fit.std_errors))
+        assert fit.message.startswith("profile search; max|grad|=")
+
+    def test_gradient_in_message(self):
+        assert self.result(grad=(2e-4, 0.0)).message.endswith("max|grad|=2.00e-04")
+
+    def test_delta_method_standard_errors(self):
+        fit = self.result()
+        assert fit.converged
+        assert fit.message == "profile search"
+        assert (fit.loglik, fit.iterations) == (-10.0, 3)
+        # sqrt(diag(inv(info))) * jacobian, with inv(info) = [[2, -1], [-1, 4]] / 7
+        np.testing.assert_allclose(fit.std_errors, [np.sqrt(2.0 / 7.0), 4.0 * np.sqrt(4.0 / 7.0)], rtol=1e-14)
