@@ -3,8 +3,7 @@ times are driven by (possibly informative) observation processes."""
 
 __version__ = "0.1.0"
 
-from .dgm import (Family, ScenarioConfig, draw_weibull_gap, parse_scenario_config,
-                  simulate_gamma_process, simulate_joint_model, simulate_panel)
+from .dgm import Family, ScenarioConfig, draw_weibull_gap, simulate_panel
 from .domain import (FitResult, GapRecord, PanelDataset, Subject, build_panel,
                      read_panel_csv, write_panel_csv)
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
@@ -25,7 +24,6 @@ __all__ = [
     "VisitsimError", "build_panel", "compute_iiv_weights", "cox_partial_loglik",
     "describe_datasets", "diagnose_informativeness", "draw_weibull_gap", "fit_andersen_gill",
     "fit_iivw", "fit_joint", "fit_lmm", "fit_model", "fit_weibull_ph", "fit_wgee",
-    "joint_loglik", "lmm_loglik", "parse_scenario_config", "read_panel_csv",
-    "recurrent_frailty_loglik", "run_study", "simulate_gamma_process", "simulate_joint_model",
+    "joint_loglik", "lmm_loglik", "read_panel_csv", "recurrent_frailty_loglik", "run_study",
     "simulate_panel", "summarize", "write_panel_csv",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dgm import CONFIG_SCHEMA_HELP, ScenarioConfig, parse_scenario_text, simulate_panel, with_seed
-from .domain import read_panel_csv, write_atomic, write_panel_csv
+from .domain import MODEL_LABELS, read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
                       fit_model, run_study, summarize)
@@ -133,7 +133,6 @@ def _cmd_run_study(args) -> int:
         scenario=config,
         models=models,
         replications=reps,
-        master_seed=config.seed,
         threads=args.threads,
         gh_order=args.gh_order,
     )
@@ -167,7 +166,7 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_describe(args) -> int:
     config, _, sha = _load_scenario(args.config, _seed_from(args))
-    desc = describe_datasets(config, args.reps, seed=config.seed)
+    desc = describe_datasets(config, args.reps)
     write_atomic(args.out, desc.to_csv_text())
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "describe", sha, config,
                     config.seed, [args.out], extra={"replications": args.reps})
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model (A-E) to a panel CSV")
     p.add_argument("--panel", required=True, help="panel CSV (columns subject_id,z,censoring_time,visit_time,y)")
-    p.add_argument("--model", required=True, choices=["A", "B", "C", "D", "E"])
+    p.add_argument("--model", required=True, choices=MODEL_LABELS)
     p.add_argument("--out", required=True, help="output FitResult JSON path")
     p.add_argument("--dump-loglik", default=None,
                    help="CSV of per-subject log likelihood contributions (model A)")
@@ -234,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--reps", type=int, default=None, help="replications (default 200)")
     p.add_argument("--full", action="store_true", help="full-scale study: 1000 replications")
-    p.add_argument("--models", default="A,B,C,D,E", help="comma-separated subset of A,B,C,D,E")
+    p.add_argument("--models", default=",".join(MODEL_LABELS),
+                   help=f"comma-separated subset of {','.join(MODEL_LABELS)}")
     p.add_argument("--out-dir", default=".", help="directory for estimates.csv / performance.csv")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: available parallelism; results do not depend on it)")

@@ -11,10 +11,12 @@ Three families are supported:
 * ``gamma_treatment_lagged_y`` -- Gamma gaps whose scale additionally depends
   on the outcome recorded at the previous visit.
 
-Every subject gets an independent random substream derived by counter-based
-splitting from the scenario seed, so the generated panel is bit-identical
-regardless of evaluation order or worker count.  Within a subject the draw
-order is fixed and documented in ``_subject_draws``.
+``simulate_panel`` is the one entry point for all three: it simulates each
+subject as a ``Subject`` record and hands the records to ``build_panel``
+once.  Every subject gets an independent random substream derived by
+counter-based splitting from the scenario seed, so the generated panel is
+bit-identical regardless of evaluation order or worker count.  Within a
+subject the draw order is fixed and documented in ``_subject_draws``.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, si
         t = t_next
         times.append(t)
         ys.append(_outcome(config, z, t, u_term, v, rng.normal(0.0, sig_e)))
-    return Subject(sid, z, c, times, ys, true_u=u, true_v=v)
+    return Subject(sid, z, c, times, ys)
 
 
 def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, sid: int) -> Subject:
@@ -236,38 +238,20 @@ def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, si
             break
         times.append(t)
         ys.append(_outcome(config, z, t, 0.0, v, rng.normal(0.0, sig_e)))
-    return Subject(sid, z, c, times, ys, true_u=xi, true_v=v)
-
-
-def simulate_joint_model(config: ScenarioConfig, seed) -> PanelDataset:
-    """Generate a panel from the shared-frailty joint model.
-
-    A subject's visits end at the censoring time, or earlier at a drawn gap
-    too small to advance the visit clock (it can round to zero under a large
-    visit intensity and a small Weibull shape), as the Gamma families' visits
-    end at a gap drawn as zero.
-    """
-    if config.family is not Family.JOINT_MODEL:
-        raise ConfigError(f"simulate_joint_model requires the joint_model family, got {config.family.value}")
-    rngs = _subject_rngs(seed, config.n_subjects)
-    subjects = [_simulate_joint_subject(rngs[i], config, i + 1) for i in range(config.n_subjects)]
-    return build_panel(subjects, config.label)
-
-
-def simulate_gamma_process(config: ScenarioConfig, seed) -> PanelDataset:
-    """Generate a panel whose visit gaps are Gamma draws (treatment / lagged-Y scale)."""
-    if config.family is Family.JOINT_MODEL:
-        raise ConfigError("simulate_gamma_process requires one of the gamma families")
-    rngs = _subject_rngs(seed, config.n_subjects)
-    subjects = [_simulate_gamma_subject(rngs[i], config, i + 1) for i in range(config.n_subjects)]
-    return build_panel(subjects, config.label)
+    return Subject(sid, z, c, times, ys)
 
 
 def simulate_panel(config: ScenarioConfig, seed) -> PanelDataset:
-    """Dispatch to the generator matching ``config.family``."""
-    if config.family is Family.JOINT_MODEL:
-        return simulate_joint_model(config, seed)
-    return simulate_gamma_process(config, seed)
+    """Generate one panel from ``config``'s family, one substream per subject.
+
+    A subject's visits end at the censoring time, or earlier at a drawn gap
+    that does not advance the visit clock: a Gamma gap drawn as zero, or a
+    Weibull gap that rounds to zero against the current visit time (under a
+    large visit intensity and a small Weibull shape).
+    """
+    simulate = _simulate_joint_subject if config.family is Family.JOINT_MODEL else _simulate_gamma_subject
+    rngs = _subject_rngs(seed, config.n_subjects)
+    return build_panel([simulate(rng, config, i + 1) for i, rng in enumerate(rngs)])
 
 
 # --- scenario config files -------------------------------------------------
@@ -307,12 +291,6 @@ Scenario files are INI-style with a [scenario] section and an optional
 study; defaults derived from [scenario] are extended/overridden by entries
 here.  Unknown keys in [scenario] and unknown sections are errors.
 """
-
-
-def parse_scenario_config(path) -> tuple[ScenarioConfig, dict[str, float]]:
-    """Read a scenario config file, returning the config and the truth map."""
-    with open(path) as fh:
-        return parse_scenario_text(fh.read(), source=str(path))
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> tuple[ScenarioConfig, dict[str, float]]:

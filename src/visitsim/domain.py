@@ -1,24 +1,28 @@
-"""Core data types: subjects, panel datasets, gap records, and fit results.
+"""Core data types: subject records, panel datasets, gap records, and fit results.
 
 A panel is a collection of subjects, each observed at irregular visit times
 starting with a mandatory baseline visit at t = 0 and administratively
 censored at a subject-specific time C.  Gaps are the renewal-scale
 representation of the visit process: the waiting times between consecutive
-visits, plus one final censored gap running from the last visit to C.  A
-panel stacks its subjects' visits and gaps once into flat arrays that every
-estimator reads, and checks the subjects on those arrays.
+visits, plus one final censored gap running from the last visit to C.
+``build_panel`` checks the subjects and stacks their visits and gaps once
+into the flat read-only arrays that make up a ``PanelDataset`` and that
+every estimator reads; the subject records are not kept.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ValidationError
 
@@ -33,32 +37,20 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Subject:
-    """One study individual: treatment arm, censoring time, visits and outcomes.
+class Subject(NamedTuple):
+    """One study individual, as input to ``build_panel``: treatment arm, censoring time, visits, outcomes.
 
-    A plain record: the ``PanelDataset`` it is built into checks it.  There
+    A plain record that ``build_panel`` checks and copies into a panel.  There
     the visits start at exactly 0.0 (the baseline observation every
     individual has), increase strictly, and stay strictly below the censoring
-    time.  ``true_u``/``true_v`` carry the simulated random effects for
-    bookkeeping; they play no role in estimation.
+    time.
     """
 
     id: int
     z: int
     censoring_time: float
-    visit_times: np.ndarray
-    outcomes: np.ndarray
-    true_u: float | None = None
-    true_v: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "visit_times", _readonly(self.visit_times))
-        object.__setattr__(self, "outcomes", _readonly(self.outcomes))
-
-    @property
-    def n_visits(self) -> int:
-        return len(self.visit_times)
+    visit_times: ArrayLike
+    outcomes: ArrayLike
 
 
 @dataclass(frozen=True)
@@ -77,73 +69,32 @@ class GapRecord:
     covariates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """A full panel: the subjects plus their visits stacked into flat read-only arrays.
+    """A full panel as flat read-only arrays; ``build_panel`` makes and checks it.
 
-    The arrays are attributes set at construction.  Per subject, in subject
-    order: ``ids``, ``z``, ``counts`` (visits) and ``starts`` (offset of the
-    subject's block).  Per visit row: ``t``, ``y`` and ``z_rows``.  Each
-    subject has as many gaps as visits, so ``starts`` indexes the per-gap
-    arrays ``gaps`` and ``observed`` too: row r's gap starts at visit r, and
-    the last row of each block holds the censored gap from the last visit to
-    the censoring time.
-
-    Construction is where subjects are checked, one rule at a time over the
-    stacked arrays; a ``ValidationError`` names a subject that breaks the rule.
+    Per subject, in subject order: ``ids``, ``z``, ``censoring`` (time C),
+    ``counts`` (visits) and ``starts`` (offset of the subject's block).  Per
+    visit row: ``t``, ``y`` and ``z_rows``.  Each subject has as many gaps as
+    visits, so ``starts`` indexes the per-gap arrays ``gaps`` and
+    ``observed`` too: row r's gap starts at visit r, and the last row of each
+    block holds the censored gap from the last visit to the censoring time.
     """
 
-    subjects: tuple[Subject, ...]
-    scenario_tag: str = ""
-
-    def __post_init__(self):
-        subjects = tuple(self.subjects)
-        if len(subjects) == 0:
-            raise ValidationError("panel must contain at least one subject")
-
-        def check(bad, message):
-            """Raise ``message(s)`` for the first subject ``s`` that ``bad`` flags, if any."""
-            if np.any(bad):
-                raise ValidationError(message(subjects[int(np.argmax(bad))]))
-
-        check([s.z not in (0, 1) for s in subjects],
-              lambda s: f"subject {s.id}: treatment z must be 0 or 1, got {s.z}")
-        c = np.array([float(s.censoring_time) for s in subjects])
-        check(~(np.isfinite(c) & (c > 0)), lambda s: f"subject {s.id}: censoring time must be a positive real")
-        check([s.visit_times.ndim != 1 or s.visit_times.shape != s.outcomes.shape for s in subjects],
-              lambda s: f"subject {s.id}: visit_times and outcomes must be 1-d and equal length")
-        counts = np.array([s.n_visits for s in subjects], dtype=np.intp)
-        check(counts == 0, lambda s: f"subject {s.id}: needs at least the baseline visit")
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        last = starts + counts - 1
-        t = np.concatenate([s.visit_times for s in subjects])
-        check(t[starts] != 0.0, lambda s: f"subject {s.id}: first visit must be at t = 0, got {s.visit_times[0]}")
-        gaps = np.empty_like(t)
-        gaps[:-1] = np.diff(t)
-        gaps[last] = c - t[last]
-        observed = np.ones(len(t), dtype=bool)
-        observed[last] = False
-        check(np.logical_or.reduceat(observed & ~(gaps > 0), starts),
-              lambda s: f"subject {s.id}: visit times must be finite and strictly increasing")
-        check(t[last] >= c, lambda s: (f"subject {s.id}: visit at t = {s.visit_times[-1]} "
-                                       f"is not before censoring time {s.censoring_time}"))
-        y = np.concatenate([s.outcomes for s in subjects])
-        check(np.logical_or.reduceat(~np.isfinite(y), starts), lambda s: f"subject {s.id}: outcomes must be finite")
-        z = np.array([float(s.z) for s in subjects])
-        ids = np.array([s.id for s in subjects], dtype=np.intp)
-        unique, seen = np.unique(ids, return_counts=True)
-        if np.any(seen > 1):
-            raise ValidationError(f"subject id {int(unique[seen > 1][0])} appears more than once")
-        arrays = dict(ids=ids, z=z, counts=counts, starts=starts, t=t, y=y,
-                      z_rows=np.repeat(z, counts), gaps=gaps, observed=observed)
-        object.__setattr__(self, "subjects", subjects)
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    ids: np.ndarray
+    z: np.ndarray
+    censoring: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    z_rows: np.ndarray
+    gaps: np.ndarray
+    observed: np.ndarray
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     @property
     def n_rows(self) -> int:
@@ -162,15 +113,59 @@ class PanelDataset:
                                                   self.gaps, self.observed, self.z_rows))
 
 
-def build_panel(subjects, scenario_tag: str = "") -> PanelDataset:
-    """Assemble a panel from subjects, checking them and stacking them into flat arrays.
+def build_panel(subjects) -> PanelDataset:
+    """Check subjects and stack them into a panel's flat arrays.
 
     Each subject contributes one observed gap per post-baseline visit
     (successive differences of visit times) and exactly one censored gap
-    from the last visit to the censoring time.  Subject ids must be unique.
-    Deterministic and order-preserving in the subjects.
+    from the last visit to the censoring time.  The rules are checked one at
+    a time over the stacked arrays; a ``ValidationError`` names the first
+    subject that breaks the rule.  Subject ids must be unique.  Deterministic
+    and order-preserving in the subjects; the panel shares no memory with them.
     """
-    return PanelDataset(tuple(subjects), scenario_tag)
+    subjects = [Subject(sid, z, c, np.asarray(t, dtype=float), np.asarray(y, dtype=float))
+                for sid, z, c, t, y in subjects]
+    if len(subjects) == 0:
+        raise ValidationError("panel must contain at least one subject")
+
+    def check(bad, message):
+        """Raise ``message(s)`` for the first subject ``s`` that ``bad`` flags, if any."""
+        if np.any(bad):
+            raise ValidationError(message(subjects[int(np.argmax(bad))]))
+
+    check([s.z not in (0, 1) for s in subjects],
+          lambda s: f"subject {s.id}: treatment z must be 0 or 1, got {s.z}")
+    c = np.array([float(s.censoring_time) for s in subjects])
+    check(~(np.isfinite(c) & (c > 0)), lambda s: f"subject {s.id}: censoring time must be a positive real")
+    check([s.visit_times.ndim != 1 or s.visit_times.shape != s.outcomes.shape for s in subjects],
+          lambda s: f"subject {s.id}: visit_times and outcomes must be 1-d and equal length")
+    counts = np.array([len(s.visit_times) for s in subjects], dtype=np.intp)
+    check(counts == 0, lambda s: f"subject {s.id}: needs at least the baseline visit")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    last = starts + counts - 1
+    t = np.concatenate([s.visit_times for s in subjects])
+    check(t[starts] != 0.0, lambda s: f"subject {s.id}: first visit must be at t = 0, got {s.visit_times[0]}")
+    gaps = np.empty_like(t)
+    gaps[:-1] = np.diff(t)
+    gaps[last] = c - t[last]
+    observed = np.ones(len(t), dtype=bool)
+    observed[last] = False
+    check(np.logical_or.reduceat(observed & ~(gaps > 0), starts),
+          lambda s: f"subject {s.id}: visit times must be finite and strictly increasing")
+    check(t[last] >= c, lambda s: (f"subject {s.id}: visit at t = {s.visit_times[-1]} "
+                                   f"is not before censoring time {s.censoring_time}"))
+    y = np.concatenate([s.outcomes for s in subjects])
+    check(np.logical_or.reduceat(~np.isfinite(y), starts), lambda s: f"subject {s.id}: outcomes must be finite")
+    z = np.array([float(s.z) for s in subjects])
+    ids = np.array([s.id for s in subjects], dtype=np.intp)
+    unique, seen = np.unique(ids, return_counts=True)
+    if np.any(seen > 1):
+        raise ValidationError(f"subject id {int(unique[seen > 1][0])} appears more than once")
+    arrays = dict(ids=ids, z=z, censoring=c, counts=counts, starts=starts, t=t, y=y,
+                  z_rows=np.repeat(z, counts), gaps=gaps, observed=observed)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return PanelDataset(**arrays)
 
 
 def write_atomic(path, data: str) -> None:
@@ -197,21 +192,22 @@ def write_atomic(path, data: str) -> None:
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
     """Serialize a panel in long format with columns subject_id,z,censoring_time,visit_time,y."""
-    import io
-
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(PANEL_CSV_COLUMNS)
-    for s in panel.subjects:
-        for t, y in zip(s.visit_times, s.outcomes):
-            w.writerow([s.id, s.z, repr(float(s.censoring_time)), repr(float(t)), repr(float(y))])
+    rows = zip(np.repeat(panel.ids, panel.counts).tolist(), panel.z_rows.astype(int).tolist(),
+               np.repeat(panel.censoring, panel.counts).tolist(), panel.t.tolist(), panel.y.tolist())
+    for sid, z, c, t, y in rows:
+        w.writerow([sid, z, repr(c), repr(t), repr(y)])
     write_atomic(path, buf.getvalue())
 
 
-def read_panel_csv(path, scenario_tag: str = "") -> PanelDataset:
-    """Read a long-format panel CSV back into a PanelDataset."""
+def read_panel_csv(path) -> PanelDataset:
+    """Read a long-format panel CSV back into a PanelDataset.
+
+    A subject's rows need not be contiguous; subjects keep the order of their first row.
+    """
     by_subject: dict[int, dict] = {}
-    order: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -232,18 +228,14 @@ def read_panel_csv(path, scenario_tag: str = "") -> PanelDataset:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             rec = by_subject.get(sid)
             if rec is None:
-                rec = {"z": z, "c": c, "t": [], "y": []}
-                by_subject[sid] = rec
-                order.append(sid)
+                rec = by_subject[sid] = {"z": z, "c": c, "t": [], "y": []}
             elif rec["z"] != z or rec["c"] != c:
                 raise ValidationError(f"{path}:{lineno}: subject {sid} has inconsistent z or censoring_time")
             rec["t"].append(t)
             rec["y"].append(y)
     if not by_subject:
         raise ValidationError(f"{path}: no data rows")
-    subjects = [Subject(sid, by_subject[sid]["z"], by_subject[sid]["c"], by_subject[sid]["t"], by_subject[sid]["y"])
-                for sid in order]
-    return build_panel(subjects, scenario_tag)
+    return build_panel(Subject(sid, rec["z"], rec["c"], rec["t"], rec["y"]) for sid, rec in by_subject.items())
 
 
 @dataclass(frozen=True)

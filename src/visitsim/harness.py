@@ -20,7 +20,7 @@ import scipy.stats
 
 from . import iivw, jointfit
 from .dgm import ScenarioConfig, simulate_panel
-from .domain import FitResult, PanelDataset, write_atomic
+from .domain import MODEL_LABELS, FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import fit_joint, gauss_hermite
@@ -32,11 +32,9 @@ PERFORMANCE_CSV_COLUMNS = ("scenario", "model", "param", "truth", "mean_est", "b
                            "emp_se", "mod_se", "mse", "mse_mcse", "coverage", "coverage_mcse",
                            "conv_rate")
 
-_LMM_SPECS = {a.value: a for a in Adjustment}
-
 _MODEL_PARAMS = {
     "A": jointfit.PARAM_NAMES,
-    **{label: adjustment.param_names for label, adjustment in _LMM_SPECS.items()},
+    **{adjustment.value: adjustment.param_names for adjustment in Adjustment},
     "E": iivw.PARAM_NAMES,
 }
 
@@ -46,9 +44,8 @@ class StudyConfig:
     """One simulation study: a scenario, the models to fit, and K replications."""
 
     scenario: ScenarioConfig
-    models: tuple[str, ...] = ("A", "B", "C", "D", "E")
+    models: tuple[str, ...] = MODEL_LABELS
     replications: int = 200
-    master_seed: int | None = None
     threads: int | None = None
     gh_order: int = 25
 
@@ -61,14 +58,10 @@ class StudyConfig:
         models = tuple(self.models)
         if not models:
             raise ValidationError("a study needs at least one model")
-        unknown = [m for m in models if m not in _MODEL_PARAMS]
+        unknown = [m for m in models if m not in MODEL_LABELS]
         if unknown:
             raise ValidationError(f"unknown model label(s): {unknown}")
         object.__setattr__(self, "models", models)
-
-    @property
-    def seed(self) -> int:
-        return self.scenario.seed if self.master_seed is None else self.master_seed
 
 
 @dataclass(frozen=True)
@@ -144,18 +137,18 @@ def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
 
     ``gh_order`` is the quadrature order of model A; the other models ignore it.
     """
-    if label in _LMM_SPECS:
-        return fit_lmm(panel, _LMM_SPECS[label])
+    if label not in MODEL_LABELS:
+        raise ValidationError(f"unknown model label {label!r}")
     if label == "A":
         return fit_joint(panel, gh_order)
     if label == "E":
         return fit_iivw(panel)
-    raise ValidationError(f"unknown model label {label!r}")
+    return fit_lmm(panel, Adjustment(label))
 
 
 def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
     try:
-        panel = simulate_panel(study.scenario, np.random.SeedSequence(study.seed, spawn_key=(rep,)))
+        panel = simulate_panel(study.scenario, np.random.SeedSequence(study.scenario.seed, spawn_key=(rep,)))
     except (ValidationError, ValueError, ArithmeticError):
         # a panel that could not be simulated: every model of this replication is not converged
         panel = None
@@ -184,7 +177,7 @@ def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
 def run_study(study: StudyConfig) -> EstimatesTable:
     """Simulate and fit K replications; failures are recorded, never fatal.
 
-    Deterministic given the master seed: rows are emitted in replication
+    Deterministic given the scenario's seed: rows are emitted in replication
     order regardless of how the worker pool schedules them.
     """
     threads = study.threads or os.cpu_count() or 1
@@ -260,18 +253,12 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float]) -> Performanc
     its ``conv_rate``, and raises a RuntimeWarning.
     """
     groups: dict[tuple[str, str, str], list[EstimateRow]] = {}
-    order: list[tuple[str, str, str]] = []
     for row in estimates:
-        if row.param not in truths:
-            continue
-        key = (row.scenario, row.model, row.param)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        if row.param in truths:
+            groups.setdefault((row.scenario, row.model, row.param), []).append(row)
 
     out = []
-    for key in sorted(order):
+    for key in sorted(groups):
         scenario, model, param = key
         rows = groups[key]
         truth = truths[param]
@@ -340,7 +327,7 @@ class DatasetDescription:
         return buf.getvalue()
 
 
-def describe_datasets(scenario: ScenarioConfig, reps: int, seed: int | None = None) -> DatasetDescription:
+def describe_datasets(scenario: ScenarioConfig, reps: int) -> DatasetDescription:
     """Table-style descriptives over ``reps`` simulated datasets.
 
     Total rows are summarised across datasets; per-subject measurement counts
@@ -348,10 +335,9 @@ def describe_datasets(scenario: ScenarioConfig, reps: int, seed: int | None = No
     """
     if reps < 1:
         raise ValidationError("describe_datasets needs reps >= 1")
-    master = scenario.seed if seed is None else seed
     rows, counts, gaps = [], [], []
     for k in range(1, reps + 1):
-        panel = simulate_panel(scenario, np.random.SeedSequence(master, spawn_key=(k,)))
+        panel = simulate_panel(scenario, np.random.SeedSequence(scenario.seed, spawn_key=(k,)))
         rows.append(panel.n_rows)
         counts.extend(panel.counts)
         gaps.extend(panel.gaps[panel.observed])

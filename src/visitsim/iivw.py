@@ -16,6 +16,7 @@ import numpy as np
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
+from .lmm import Adjustment, design_matrix
 from .survfit import CoxFit, _CoxData, fit_andersen_gill
 
 PARAM_NAMES = ("alpha0", "alpha1", "alpha2")
@@ -50,7 +51,7 @@ def fit_wgee(panel: PanelDataset, weights: np.ndarray) -> FitResult:
         raise ValidationError(f"expected one weight per panel row, shape ({panel.n_rows},); "
                               f"got shape {w.shape}")
 
-    X = np.column_stack([np.ones_like(panel.y), panel.z_rows, panel.t])
+    X = design_matrix(panel, Adjustment.NONE)
     y = panel.y
     XtW = X.T * w
     bread = XtW @ X

@@ -32,7 +32,8 @@ import scipy.optimize
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
-from .lmm import GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, _fit_result, _lmm_estimates, lmm_loglik
+from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, _fit_result, _lmm_estimates, design_matrix,
+                  lmm_loglik)
 from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
@@ -115,7 +116,7 @@ class _JointData:
         self.events = panel.group_sum(panel.observed.astype(float))
         self.sum_d_logt = panel.group_sum(np.where(panel.observed, self.log_gaps, 0.0))
         # the outcome design [1, z, t]: its rows, X'X, and X'1 per subject
-        self.X = np.column_stack([np.ones(panel.n_rows), panel.z_rows, panel.t])
+        self.X = design_matrix(panel, Adjustment.NONE)
         self.xtx = self.X.T @ self.X
         self.x1 = panel.group_sum(self.X)
 

@@ -24,6 +24,7 @@ from visitsim.jointfit import JointParams, joint_loglik, recurrent_frailty_logli
 from visitsim.lmm import Adjustment, design_matrix, lmm_loglik
 from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 
+from panel_records import subjects_of
 from test_jointfit import mc_oracle
 from test_lmm import dense_loglik
 
@@ -89,7 +90,7 @@ def replication_control_variate(scenario: ScenarioConfig, rep: int) -> float:
     """
     panel = simulate_panel(scenario, np.random.SeedSequence(scenario.seed, spawn_key=(rep,)))
     means = ([], [])
-    for s in panel.subjects:
+    for s in subjects_of(panel):
         mean_y = scenario.alpha0 + scenario.alpha1 * s.z + scenario.alpha2 * s.visit_times
         means[s.z].append(float(np.mean(s.outcomes - mean_y)))
     return float(np.mean(means[1]) - np.mean(means[0]))
@@ -319,9 +320,10 @@ class TestCriterion7OracleEquivalences:
 
         # (d) unit-weight GEE vs ordinary least squares
         gee = fit_wgee(rng_panel, np.ones(rng_panel.n_rows))
-        y = np.concatenate([s.outcomes for s in rng_panel.subjects])
-        X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
-                       for s in rng_panel.subjects])
+        subjects = subjects_of(rng_panel)
+        y = np.concatenate([s.outcomes for s in subjects])
+        X = np.vstack([np.column_stack([np.ones_like(s.visit_times), np.full_like(s.visit_times, s.z),
+                                        s.visit_times]) for s in subjects])
         ols = np.linalg.solve(X.T @ X, X.T @ y)
         if np.max(np.abs(gee.estimates - ols)) >= 1e-10:
             failures.append(f"unit-weight GEE vs OLS: max|diff|={np.max(np.abs(gee.estimates - ols)):.2e}")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from visitsim.dgm import (Family, ScenarioConfig, _subject_rngs, draw_weibull_gap,
-                          parse_scenario_text, simulate_gamma_process, simulate_joint_model,
-                          simulate_panel)
+from panel_records import subjects_of
+from visitsim.dgm import (Family, ScenarioConfig, _subject_draws, _subject_rngs, draw_weibull_gap,
+                          parse_scenario_text, simulate_panel)
 from visitsim.errors import ConfigError
 
 
@@ -57,8 +57,8 @@ class TestDrawWeibullGap:
                                  weibull_scale=float(np.exp(rng.uniform(np.log(0.05), np.log(1.0)))),
                                  weibull_shape=float(rng.uniform(0.5, 3.0)),
                                  beta=float(rng.normal(0.0, 1.0)), sigma_u2=float(rng.uniform(0.2, 2.0)))
-            panel = simulate_joint_model(cfg, k)
-            for s, sub_rng in zip(panel.subjects, _subject_rngs(k, cfg.n_subjects), strict=True):
+            panel = simulate_panel(cfg, k)
+            for s, sub_rng in zip(subjects_of(panel), _subject_rngs(k, cfg.n_subjects), strict=True):
                 z = 1 if sub_rng.random() < 0.5 else 0
                 u = sub_rng.normal(0.0, math.sqrt(cfg.sigma_u2))
                 sub_rng.normal(0.0, math.sqrt(cfg.sigma_v2))
@@ -138,41 +138,37 @@ alpha1 = 0.95
 class TestSimulateJointModel:
     def test_determinism_and_substreams(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40, seed=5)
-        a = simulate_joint_model(cfg, 5)
-        b = simulate_joint_model(cfg, 5)
+        a = simulate_panel(cfg, 5)
+        b = simulate_panel(cfg, 5)
         assert a.gap_records == b.gap_records
-        for sa, sb in zip(a.subjects, b.subjects):
-            np.testing.assert_array_equal(sa.outcomes, sb.outcomes)
-        c = simulate_joint_model(cfg, 6)
-        assert any(sa.n_visits != sc.n_visits for sa, sc in zip(a.subjects, c.subjects))
+        np.testing.assert_array_equal(a.y, b.y)
+        c = simulate_panel(cfg, 6)
+        assert np.any(a.counts != c.counts)
 
     def test_visits_inside_followup(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=1.0, gamma=1.5, n_subjects=50)
-        panel = simulate_joint_model(cfg, 99)
-        for s in panel.subjects:
-            assert s.visit_times[0] == 0.0
-            assert s.visit_times[-1] < s.censoring_time
-            assert np.all(np.isfinite(s.outcomes))
+        panel = simulate_panel(cfg, 99)
+        assert np.all(panel.t[panel.starts] == 0.0)
+        assert np.all(panel.t[panel.starts + panel.counts - 1] < panel.censoring)
+        assert np.all(np.isfinite(panel.y))
 
     def test_degenerate_noise_outcome_equals_v(self):
         # sigma_u2 -> 0, sigma_e2 -> 0, alphas = 0: y is the subject intercept v
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=2.0, n_subjects=20,
                              sigma_u2=1e-18, sigma_e2=1e-18, alpha0=0.0, alpha1=0.0, alpha2=0.0)
-        panel = simulate_joint_model(cfg, 3)
-        for s in panel.subjects:
-            np.testing.assert_allclose(s.outcomes, s.true_v, atol=1e-6)
+        panel = simulate_panel(cfg, 3)
+        # each subject's v, replayed from its stream in the documented draw order
+        v = [_subject_draws(rng, cfg)[2] for rng in _subject_rngs(3, cfg.n_subjects)]
+        np.testing.assert_allclose(panel.y, np.repeat(v, panel.counts), atol=1e-6)
 
     def test_gamma_zero_no_count_outcome_correlation(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=200)
         rs = []
         for k in range(30):
-            panel = simulate_joint_model(cfg, np.random.SeedSequence(17, spawn_key=(k,)))
-            counts, resid = [], []
-            for s in panel.subjects:
-                fixed = cfg.alpha0 + s.z * cfg.alpha1 + s.visit_times * cfg.alpha2
-                counts.append(s.n_visits)
-                resid.append(float(np.mean(s.outcomes - fixed)))
-            rs.append(np.corrcoef(counts, resid)[0, 1])
+            panel = simulate_panel(cfg, np.random.SeedSequence(17, spawn_key=(k,)))
+            fixed = cfg.alpha0 + panel.z_rows * cfg.alpha1 + panel.t * cfg.alpha2
+            resid = panel.group_sum(panel.y - fixed) / panel.counts
+            rs.append(np.corrcoef(panel.counts, resid)[0, 1])
         mean_r = np.mean(rs)
         mcse = np.std(rs, ddof=1) / np.sqrt(len(rs))
         assert abs(mean_r) < 3 * mcse
@@ -180,26 +176,27 @@ class TestSimulateJointModel:
     @pytest.mark.parametrize("gamma,sigma_e2", [(0.0, 4.0), (1.5, 1.0), (1.5, 4.0)])
     def test_outcome_parameters_leave_visit_process_unchanged(self, gamma, sigma_e2):
         # z, u, v and the visit times do not move with gamma or sigma_e2: the
-        # premise of the zero-mean control variate in acceptance criterion 3
+        # premise of the zero-mean control variate in acceptance criterion 3.
+        # u and v are not kept: C, drawn after them from the same stream, and the
+        # visit times, which depend on u, stand in for them
         base = dict(family="joint_model", weibull_scale=0.3, n_subjects=60)
         # a fresh SeedSequence per call: spawning children advances its counter
-        ref = simulate_joint_model(ScenarioConfig(**base, gamma=0.0, sigma_e2=1.0),
-                                   np.random.SeedSequence(8, spawn_key=(3,)))
-        other = simulate_joint_model(ScenarioConfig(**base, gamma=gamma, sigma_e2=sigma_e2),
-                                     np.random.SeedSequence(8, spawn_key=(3,)))
-        for a, b in zip(ref.subjects, other.subjects, strict=True):
-            assert (a.z, a.true_u, a.true_v) == (b.z, b.true_u, b.true_v)
-            np.testing.assert_array_equal(a.visit_times, b.visit_times)
+        ref = simulate_panel(ScenarioConfig(**base, gamma=0.0, sigma_e2=1.0),
+                             np.random.SeedSequence(8, spawn_key=(3,)))
+        other = simulate_panel(ScenarioConfig(**base, gamma=gamma, sigma_e2=sigma_e2),
+                               np.random.SeedSequence(8, spawn_key=(3,)))
+        for name in ("ids", "z", "censoring", "counts", "t"):
+            np.testing.assert_array_equal(getattr(ref, name), getattr(other, name), err_msg=name)
 
     def test_regular_visits_are_scheduled(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.05, gamma=3.0,
                              regular_visits=True, n_subjects=100)
-        panel = simulate_joint_model(cfg, 12)
+        panel = simulate_panel(cfg, 12)
         gaps = np.array([g.gap for g in panel.gap_records if g.observed])
         assert np.median(gaps) == pytest.approx(1.0)
         assert gaps.max() <= 1.0 + 1e-9
         # every integer year < C is visited
-        for s in panel.subjects[:20]:
+        for s in subjects_of(panel)[:20]:
             expected = np.arange(1.0, math.floor(s.censoring_time) + 0.5)
             expected = expected[expected < s.censoring_time]
             present = [t for t in s.visit_times if abs(t - round(t)) < 1e-9 and t > 0]
@@ -208,8 +205,8 @@ class TestSimulateJointModel:
     def test_regular_additive_mode_keeps_process_clock(self):
         base = dict(family="joint_model", weibull_scale=0.05, gamma=3.0,
                     regular_visits=True, n_subjects=150)
-        reset = simulate_joint_model(ScenarioConfig(**base, regular_resets_process=True), 4)
-        additive = simulate_joint_model(ScenarioConfig(**base, regular_resets_process=False), 4)
+        reset = simulate_panel(ScenarioConfig(**base, regular_resets_process=True), 4)
+        additive = simulate_panel(ScenarioConfig(**base, regular_resets_process=False), 4)
         assert reset.n_rows != additive.n_rows  # the switch is live
 
     def test_gap_that_does_not_advance_the_clock_ends_the_subject(self):
@@ -217,14 +214,9 @@ class TestSimulateJointModel:
         # against the current visit time; the subject's visits end there
         cfg = ScenarioConfig(family="joint_model", n_subjects=200, weibull_scale=5.0,
                              weibull_shape=0.3, sigma_u2=4.0)
-        panel = simulate_joint_model(cfg, 0)
+        panel = simulate_panel(cfg, 0)
         assert panel.n_subjects == 200
         assert np.all(panel.gaps > 0.0)
-
-    def test_family_guard(self):
-        cfg = ScenarioConfig(family="gamma_treatment")
-        with pytest.raises(ConfigError):
-            simulate_joint_model(cfg, 1)
 
 
 class TestSimulateGammaProcess:
@@ -236,21 +228,17 @@ class TestSimulateGammaProcess:
 
     def test_lagged_scale_shortens_gaps_for_low_outcomes(self):
         cfg = ScenarioConfig(family="gamma_treatment_lagged_y", psi=2.0, omega=0.2, n_subjects=400)
-        panel = simulate_gamma_process(cfg, 21)
+        panel = simulate_panel(cfg, 21)
         # positive omega: larger previous outcome -> larger scale -> longer gaps
         prev_y, gap = [], []
-        for s in panel.subjects:
-            if s.z == 1 or s.n_visits < 2:
+        for s in subjects_of(panel):
+            if s.z == 1 or len(s.visit_times) < 2:
                 continue
-            for j in range(s.n_visits - 1):
+            for j in range(len(s.visit_times) - 1):
                 prev_y.append(s.outcomes[j])
                 gap.append(s.visit_times[j + 1] - s.visit_times[j])
         r = np.corrcoef(prev_y, np.log(gap))[0, 1]
         assert r > 0.1
-
-    def test_family_guard(self):
-        with pytest.raises(ConfigError):
-            simulate_gamma_process(ScenarioConfig(family="joint_model"), 1)
 
 
 class TestSeedSequences:

@@ -1,5 +1,6 @@
 import os
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,9 +25,14 @@ def panel_with(bad):
 
 class TestSubject:
     def test_valid(self):
-        s = make_subject()
-        assert s.n_visits == 3
-        assert not s.visit_times.flags.writeable
+        times, ys = np.array([0.0, 1.5, 3.0]), np.array([0.1, 0.2, 0.3])
+        panel = build_panel([make_subject(times=times, ys=ys)])
+        assert panel.counts.tolist() == [3]
+        assert not any(getattr(panel, f.name).flags.writeable for f in fields(PanelDataset))
+        # the panel holds copies: changing the inputs afterwards leaves it as built
+        times[1], ys[0] = 2.0, 9.0
+        assert panel.t.tolist() == [0.0, 1.5, 3.0]
+        assert panel.y.tolist() == [0.1, 0.2, 0.3]
 
     def test_first_visit_not_zero(self):
         with pytest.raises(ValidationError, match="subject 1"):
@@ -169,17 +175,17 @@ class TestBuildPanel:
             t = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 4.9, n - 1))])
             subjects.append(make_subject(sid=i, times=t, ys=rng.normal(size=n)))
         panel = build_panel(subjects)
-        for s in panel.subjects:
-            recs = [g for g in panel.gap_records if g.subject_id == s.id]
-            assert sum(g.observed for g in recs) == s.n_visits - 1
+        for sid, n, c in zip(panel.ids, panel.counts, panel.censoring):
+            recs = [g for g in panel.gap_records if g.subject_id == sid]
+            assert sum(g.observed for g in recs) == n - 1
             assert sum(not g.observed for g in recs) == 1
-            assert abs(sum(g.gap for g in recs) - s.censoring_time) < 1e-10
+            assert abs(sum(g.gap for g in recs) - c) < 1e-10
 
     def test_order_preserving(self):
         subjects = [make_subject(sid=i, times=(0.0, 0.5 + i * 0.1)) for i in range(5)]
         panel = build_panel(subjects)
         permuted = build_panel(subjects[::-1])
-        assert [s.id for s in permuted.subjects] == [s.id for s in panel.subjects][::-1]
+        assert permuted.ids.tolist() == panel.ids.tolist()[::-1]
         fwd = {(g.subject_id, g.index): g for g in panel.gap_records}
         rev = {(g.subject_id, g.index): g for g in permuted.gap_records}
         assert fwd == rev
@@ -190,7 +196,7 @@ class TestBuildPanel:
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValidationError):
-            PanelDataset(tuple())
+            build_panel([])
 
     def test_duplicate_subject_id_rejected(self):
         subjects = [make_subject(sid=1, z=0), make_subject(sid=2), make_subject(sid=1, z=1),
@@ -208,18 +214,27 @@ class TestPanelCsv:
             t = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 4.9, n - 1))])
             subjects.append(Subject(i + 1, int(rng.integers(0, 2)), float(rng.uniform(5, 10)),
                                     t, rng.normal(size=n)))
-        panel = build_panel(subjects, "roundtrip")
+        panel = build_panel(subjects)
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
-        back = read_panel_csv(path, "roundtrip")
-        assert back.n_subjects == panel.n_subjects
-        for a, b in zip(panel.subjects, back.subjects):
-            assert a.id == b.id and a.z == b.z
-            assert a.censoring_time == b.censoring_time
-            np.testing.assert_array_equal(a.visit_times, b.visit_times)
-            np.testing.assert_array_equal(a.outcomes, b.outcomes)
+        back = read_panel_csv(path)
+        for f in fields(PanelDataset):
+            np.testing.assert_array_equal(getattr(back, f.name), getattr(panel, f.name), err_msg=f.name)
         assert (tmp_path / "panel.csv").read_text().splitlines()[0] == \
             "subject_id,z,censoring_time,visit_time,y"
+
+    def test_rows_of_a_subject_need_not_be_contiguous(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("subject_id,z,censoring_time,visit_time,y\n"
+                        "7,1,5.0,0.0,0.1\n2,0,4.0,0.0,0.4\n7,1,5.0,1.5,0.2\n"
+                        "2,0,4.0,2.0,0.5\n7,1,5.0,3.0,0.3\n")
+        panel = read_panel_csv(path)
+        # subjects in the order of their first row, each subject's rows in file order
+        assert panel.ids.tolist() == [7, 2]
+        assert panel.counts.tolist() == [3, 2]
+        assert panel.censoring.tolist() == [5.0, 4.0]
+        assert panel.t.tolist() == [0.0, 1.5, 3.0, 0.0, 2.0]
+        assert panel.y.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5]
 
     def test_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -256,6 +271,7 @@ class TestRowArrays:
                              make_subject(sid=2, c=4.0, times=(0.0,), ys=np.array([0.4]))])
         assert list(panel.ids) == [7, 2]
         assert list(panel.z) == [1.0, 0.0]
+        assert list(panel.censoring) == [5.0, 4.0]
         assert list(panel.counts) == [3, 1]
         assert list(panel.starts) == [0, 3]
         assert panel.n_rows == 4

@@ -31,6 +31,17 @@ class TestStudyConfig:
         with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
             StudyConfig(scenario=small_study().scenario, gh_order=2)
 
+    def test_models_default_to_every_label(self):
+        assert StudyConfig(scenario=small_study().scenario).models == ("A", "B", "C", "D", "E")
+
+
+class TestFitModel:
+    @pytest.mark.parametrize("label", ["F", "d", "", None])
+    def test_unknown_label_rejected(self, label):
+        panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0], [0.1, 0.2])])
+        with pytest.raises(ValidationError, match="unknown model label"):
+            harness.fit_model(panel, label)
+
 
 class TestRunStudy:
     def test_row_accounting(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panel_records import subjects_of
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
@@ -50,8 +51,7 @@ class TestComputeWeights:
         panel = simulate_panel(cfg, 3)
         ag = fit_andersen_gill(_CoxData.from_panel(panel))
         compute_iiv_weights(ag, panel)
-        raw = {s.id: float(np.exp(-s.z * ag.eta[0])) for s in panel.subjects}
-        values = [raw[s.id] for s in panel.subjects for _ in range(s.n_visits)]
+        values = np.repeat(np.exp(-panel.z * ag.eta[0]), panel.counts)
         normalized = np.asarray(values) - np.mean(values) + 1.0
         assert normalized.mean() == pytest.approx(1.0, abs=1e-10)
 
@@ -71,9 +71,10 @@ class TestWgee:
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=50)
         panel = simulate_panel(cfg, 5)
         fit = fit_wgee(panel, np.ones(panel.n_rows))
-        y = np.concatenate([s.outcomes for s in panel.subjects])
-        X = np.vstack([np.column_stack([np.ones(s.n_visits), np.full(s.n_visits, s.z), s.visit_times])
-                       for s in panel.subjects])
+        subjects = subjects_of(panel)
+        y = np.concatenate([s.outcomes for s in subjects])
+        X = np.vstack([np.column_stack([np.ones_like(s.visit_times), np.full_like(s.visit_times, s.z),
+                                        s.visit_times]) for s in subjects])
         ols = np.linalg.solve(X.T @ X, X.T @ y)
         np.testing.assert_allclose(fit.estimates, ols, atol=1e-10)
         assert fit.loglik is None

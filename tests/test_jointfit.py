@@ -3,6 +3,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from panel_records import subjects_of
 from visitsim import jointfit, lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
@@ -39,8 +40,9 @@ def mc_oracle(params: JointParams, panel, ndraws=10**6, seed=123):
     u = rng.normal(0.0, np.sqrt(su2), ndraws)
     total, var_total = 0.0, 0.0
     eu = np.exp(u)
-    for subj in panel.subjects:
-        t, n, E = subj.visit_times, subj.n_visits, subj.n_visits - 1.0
+    for subj in subjects_of(panel):
+        t = subj.visit_times
+        n, E = len(t), len(t) - 1.0
         observed_gaps = np.diff(t)
         gaps = np.append(observed_gaps, subj.censoring_time - t[-1])
         lam_eff = lam * np.exp(beta * subj.z) * np.sum(gaps**p)
@@ -169,7 +171,7 @@ class TestLoglik:
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=30)
         panel = simulate_panel(cfg, 4)
-        rev = build_panel(panel.subjects[::-1])
+        rev = build_panel(subjects_of(panel)[::-1])
         params = typical_params()
         assert joint_loglik(params, panel, 25) == pytest.approx(
             joint_loglik(params, rev, 25), abs=1e-9)
@@ -192,10 +194,7 @@ class TestFit:
         assert fit.model_label == "A"
         assert np.all(fit.std_errors > 0)
 
-        shifted = build_panel([
-            Subject(s.id, s.z, s.censoring_time, s.visit_times, s.outcomes + 3.0)
-            for s in panel.subjects
-        ])
+        shifted = build_panel([s._replace(outcomes=s.outcomes + 3.0) for s in subjects_of(panel)])
         fit2 = fit_joint(shifted)
         assert fit2.estimate("alpha0") - fit.estimate("alpha0") == pytest.approx(3.0, abs=1e-5)
         keep = [n for n in fit.param_names if n != "alpha0"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from panel_records import subjects_of
 from visitsim import lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
@@ -46,8 +47,8 @@ def dense_loglik(alpha, sv2, se2, panel, adjustment):
     """Brute-force dense MVN density evaluation (Cholesky via scipy)."""
     X = design_matrix(panel, adjustment)
     total, pos = 0.0, 0
-    for s in panel.subjects:
-        n = s.n_visits
+    for s in subjects_of(panel):
+        n = len(s.visit_times)
         Xi, yi = X[pos:pos + n], np.asarray(s.outcomes)
         pos += n
         cov = sv2 * np.ones((n, n)) + se2 * np.eye(n)
@@ -138,7 +139,7 @@ class TestFit:
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=60)
         panel = simulate_panel(cfg, 44)
-        rev = build_panel(panel.subjects[::-1])
+        rev = build_panel(subjects_of(panel)[::-1])
         a = fit_lmm(panel, Adjustment.NONE)
         b = fit_lmm(rev, Adjustment.NONE)
         np.testing.assert_allclose(a.estimates, b.estimates, atol=1e-8)
@@ -146,10 +147,7 @@ class TestFit:
     def test_shift_equivariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=50)
         panel = simulate_panel(cfg, 45)
-        shifted = build_panel([
-            Subject(s.id, s.z, s.censoring_time, s.visit_times, s.outcomes + 5.0)
-            for s in panel.subjects
-        ])
+        shifted = build_panel([s._replace(outcomes=s.outcomes + 5.0) for s in subjects_of(panel)])
         a = fit_lmm(panel, Adjustment.NONE)
         b = fit_lmm(shifted, Adjustment.NONE)
         assert b.estimate("alpha0") - a.estimate("alpha0") == pytest.approx(5.0, abs=1e-6)

@@ -26,3 +26,11 @@ def test_quadrature_rule_is_gone():
     assert "QuadratureRule" not in visitsim.__all__
     assert not hasattr(visitsim, "QuadratureRule")
     assert not hasattr(visitsim.jointfit, "QuadratureRule")
+
+
+def test_per_family_simulators_and_config_file_reader_are_gone():
+    # one simulator entry point, ``simulate_panel``; configs are read with ``parse_scenario_text``
+    for name in ("simulate_joint_model", "simulate_gamma_process", "parse_scenario_config"):
+        assert name not in visitsim.__all__, name
+        assert not hasattr(visitsim, name), name
+        assert not hasattr(visitsim.dgm, name), name
