@@ -29,7 +29,7 @@ from .domain import MODEL_LABELS, read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
 from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
                       fit_model, run_study, summarize)
-from .jointfit import JointParams, subject_log_contributions
+from .jointfit import subject_log_contributions
 
 PRESETS = (
     "gamma_psi0", "gamma_psi2", "gamma_lagy",
@@ -113,7 +113,7 @@ def _cmd_fit(args) -> int:
     result = fit_model(panel, args.model, args.gh_order)
     result.write_json(args.out)
     if args.dump_loglik:
-        params = JointParams.from_natural(dict(zip(result.param_names, result.estimates)))
+        params = dict(zip(result.param_names, result.estimates))
         lines = ["subject_id,loglik"]
         for sid, value in subject_log_contributions(params, panel, args.gh_order):
             lines.append(f"{sid},{value!r}")

@@ -11,12 +11,13 @@ Three families are supported:
 * ``gamma_treatment_lagged_y`` -- Gamma gaps whose scale additionally depends
   on the outcome recorded at the previous visit.
 
-``simulate_panel`` is the one entry point for all three: it simulates each
-subject as a ``Subject`` record and hands the records to ``build_panel``
-once.  Every subject gets an independent random substream derived by
-counter-based splitting from the scenario seed, so the generated panel is
-bit-identical regardless of evaluation order or worker count.  Within a
-subject the draw order is fixed and documented in ``_subject_draws``.
+``simulate_panel`` is the one entry point for all three: it appends each
+subject's visit times and outcomes to flat lists for the whole panel and
+hands the panel's columns to ``build_panel`` once.  Every subject gets an
+independent random substream derived by counter-based splitting from the
+scenario seed, so the generated panel is bit-identical regardless of
+evaluation order or worker count.  Within a subject the draw order is fixed
+and documented in ``_subject_draws``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .domain import PanelDataset, Subject, build_panel
+from .domain import PanelDataset, build_panel
 from .errors import ConfigError
 
 CENSORING_DEFAULT = (5.0, 10.0)
@@ -184,15 +185,16 @@ def _outcome(config: ScenarioConfig, z: int, t: float, u_term: float, v: float, 
     return config.alpha0 + z * config.alpha1 + t * config.alpha2 + u_term + v + eps
 
 
-def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, sid: int) -> Subject:
+def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, times, ys) -> tuple[int, float]:
+    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C)."""
     z, u, v, c = _subject_draws(rng, config)
     sig_e = math.sqrt(config.sigma_e2)
     u_term = config.gamma * u
     scale = config.weibull_scale * np.exp(config.beta * z + u)
     inv_p = 1.0 / config.weibull_shape
 
-    times = [0.0]
-    ys = [_outcome(config, z, 0.0, u_term, v, rng.normal(0.0, sig_e))]
+    times.append(0.0)
+    ys.append(_outcome(config, z, 0.0, u_term, v, rng.normal(0.0, sig_e)))
     interval = config.regular_interval
     t = 0.0
     pending: float | None = None  # absolute time of the pending process visit (additive mode)
@@ -217,41 +219,46 @@ def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, si
         t = t_next
         times.append(t)
         ys.append(_outcome(config, z, t, u_term, v, rng.normal(0.0, sig_e)))
-    return Subject(sid, z, c, times, ys)
+    return z, c
 
 
-def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, sid: int) -> Subject:
+def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, times, ys) -> tuple[int, float]:
+    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C)."""
     z, xi, v, c = _subject_draws(rng, config)
     sig_e = math.sqrt(config.sigma_e2)
     lagged = config.family is Family.GAMMA_TREATMENT_LAGGED_Y
 
-    times = [0.0]
-    ys = [_outcome(config, z, 0.0, 0.0, v, rng.normal(0.0, sig_e))]
+    times.append(0.0)
+    ys.append(_outcome(config, z, 0.0, 0.0, v, rng.normal(0.0, sig_e)))
     t = 0.0
     while True:
         log_scale = -config.psi * config.beta * z + xi
         if lagged:
             log_scale += config.omega * ys[-1]
-        gap = rng.gamma(config.gamma_shape, math.exp(log_scale))
-        t = t + gap
-        if t >= c or gap <= 0.0:
-            break
+        t_next = t + rng.gamma(config.gamma_shape, math.exp(log_scale))
+        if t_next >= c or t_next <= t:
+            break  # censored, or a gap too small to advance the clock
+        t = t_next
         times.append(t)
         ys.append(_outcome(config, z, t, 0.0, v, rng.normal(0.0, sig_e)))
-    return Subject(sid, z, c, times, ys)
+    return z, c
 
 
 def simulate_panel(config: ScenarioConfig, seed) -> PanelDataset:
     """Generate one panel from ``config``'s family, one substream per subject.
 
     A subject's visits end at the censoring time, or earlier at a drawn gap
-    that does not advance the visit clock: a Gamma gap drawn as zero, or a
-    Weibull gap that rounds to zero against the current visit time (under a
-    large visit intensity and a small Weibull shape).
+    that does not advance the visit clock: a Gamma or Weibull gap that rounds
+    to zero against the current visit time (under a large visit intensity and
+    a small Weibull or Gamma shape).  Subjects get ids 1 to ``n_subjects``.
     """
     simulate = _simulate_joint_subject if config.family is Family.JOINT_MODEL else _simulate_gamma_subject
-    rngs = _subject_rngs(seed, config.n_subjects)
-    return build_panel([simulate(rng, config, i + 1) for i, rng in enumerate(rngs)])
+    times, ys, zc, ends = [], [], [], []
+    for rng in _subject_rngs(seed, config.n_subjects):
+        zc.append(simulate(rng, config, times, ys))
+        ends.append(len(times))
+    z, c = zip(*zc)
+    return build_panel(np.arange(1, config.n_subjects + 1), z, c, np.diff(ends, prepend=0), times, ys)
 
 
 # --- scenario config files -------------------------------------------------

@@ -1,13 +1,14 @@
-"""Core data types: subject records, panel datasets, gap records, and fit results.
+"""Core data types: panel datasets, gap records, and fit results.
 
 A panel is a collection of subjects, each observed at irregular visit times
 starting with a mandatory baseline visit at t = 0 and administratively
 censored at a subject-specific time C.  Gaps are the renewal-scale
 representation of the visit process: the waiting times between consecutive
 visits, plus one final censored gap running from the last visit to C.
-``build_panel`` checks the subjects and stacks their visits and gaps once
-into the flat read-only arrays that make up a ``PanelDataset`` and that
-every estimator reads; the subject records are not kept.
+``build_panel`` takes a panel's columns (per subject: id, z, C and the
+number of visits; per visit: time and outcome), checks them and derives the
+gaps once; the result is the flat read-only arrays of a ``PanelDataset``
+that every estimator reads.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import ValidationError
 
@@ -35,22 +34,6 @@ def _readonly(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).copy()
     arr.flags.writeable = False
     return arr
-
-
-class Subject(NamedTuple):
-    """One study individual, as input to ``build_panel``: treatment arm, censoring time, visits, outcomes.
-
-    A plain record that ``build_panel`` checks and copies into a panel.  There
-    the visits start at exactly 0.0 (the baseline observation every
-    individual has), increase strictly, and stay strictly below the censoring
-    time.
-    """
-
-    id: int
-    z: int
-    censoring_time: float
-    visit_times: ArrayLike
-    outcomes: ArrayLike
 
 
 @dataclass(frozen=True)
@@ -113,51 +96,50 @@ class PanelDataset:
                                                   self.gaps, self.observed, self.z_rows))
 
 
-def build_panel(subjects) -> PanelDataset:
-    """Check subjects and stack them into a panel's flat arrays.
+def build_panel(ids, z, censoring, counts, t, y) -> PanelDataset:
+    """Check a panel's columns and derive the rest of its flat arrays.
 
-    Each subject contributes one observed gap per post-baseline visit
-    (successive differences of visit times) and exactly one censored gap
-    from the last visit to the censoring time.  The rules are checked one at
-    a time over the stacked arrays; a ``ValidationError`` names the first
-    subject that breaks the rule.  Subject ids must be unique.  Deterministic
-    and order-preserving in the subjects; the panel shares no memory with them.
+    Per subject, in panel order: ``ids``, treatment ``z``, ``censoring`` time
+    and ``counts`` (visits).  Per visit, subject after subject: times ``t``
+    and outcomes ``y``.  Each subject contributes one observed gap per
+    post-baseline visit (successive differences of visit times) and exactly
+    one censored gap from the last visit to the censoring time.  The rules
+    are checked one at a time over the columns; a ``ValidationError`` names
+    the first subject that breaks the rule.  Subject ids must be unique.
+    Deterministic and order-preserving; the panel shares no memory with its
+    inputs.
     """
-    subjects = [Subject(sid, z, c, np.asarray(t, dtype=float), np.asarray(y, dtype=float))
-                for sid, z, c, t, y in subjects]
-    if len(subjects) == 0:
+    ids, counts = np.array(ids, dtype=np.intp), np.array(counts, dtype=np.intp)
+    z, c = np.array(z, dtype=float), np.array(censoring, dtype=float)
+    t, y = np.array(t, dtype=float), np.array(y, dtype=float)
+    if not (ids.ndim == z.ndim == c.ndim == counts.ndim == 1 and len(ids) == len(z) == len(c) == len(counts)):
+        raise ValidationError("ids, z, censoring and counts must be 1-d and of equal length")
+    if not (t.ndim == y.ndim == 1 and len(t) == len(y) == counts.sum()):
+        raise ValidationError(f"t and y must be 1-d with counts.sum() = {counts.sum()} entries")
+    if len(ids) == 0:
         raise ValidationError("panel must contain at least one subject")
 
     def check(bad, message):
-        """Raise ``message(s)`` for the first subject ``s`` that ``bad`` flags, if any."""
+        """Raise ``message(i)`` for the first subject ``i`` that ``bad`` flags, if any."""
         if np.any(bad):
-            raise ValidationError(message(subjects[int(np.argmax(bad))]))
+            i = int(np.argmax(bad))
+            raise ValidationError(f"subject {ids[i]}: {message(i)}")
 
-    check([s.z not in (0, 1) for s in subjects],
-          lambda s: f"subject {s.id}: treatment z must be 0 or 1, got {s.z}")
-    c = np.array([float(s.censoring_time) for s in subjects])
-    check(~(np.isfinite(c) & (c > 0)), lambda s: f"subject {s.id}: censoring time must be a positive real")
-    check([s.visit_times.ndim != 1 or s.visit_times.shape != s.outcomes.shape for s in subjects],
-          lambda s: f"subject {s.id}: visit_times and outcomes must be 1-d and equal length")
-    counts = np.array([len(s.visit_times) for s in subjects], dtype=np.intp)
-    check(counts == 0, lambda s: f"subject {s.id}: needs at least the baseline visit")
+    check((z != 0) & (z != 1), lambda i: f"treatment z must be 0 or 1, got {z[i]:g}")
+    check(~(np.isfinite(c) & (c > 0)), lambda i: "censoring time must be a positive real")
+    check(counts < 1, lambda i: "needs at least the baseline visit")
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     last = starts + counts - 1
-    t = np.concatenate([s.visit_times for s in subjects])
-    check(t[starts] != 0.0, lambda s: f"subject {s.id}: first visit must be at t = 0, got {s.visit_times[0]}")
+    check(t[starts] != 0.0, lambda i: f"first visit must be at t = 0, got {t[starts[i]]}")
     gaps = np.empty_like(t)
     gaps[:-1] = np.diff(t)
     gaps[last] = c - t[last]
     observed = np.ones(len(t), dtype=bool)
     observed[last] = False
     check(np.logical_or.reduceat(observed & ~(gaps > 0), starts),
-          lambda s: f"subject {s.id}: visit times must be finite and strictly increasing")
-    check(t[last] >= c, lambda s: (f"subject {s.id}: visit at t = {s.visit_times[-1]} "
-                                   f"is not before censoring time {s.censoring_time}"))
-    y = np.concatenate([s.outcomes for s in subjects])
-    check(np.logical_or.reduceat(~np.isfinite(y), starts), lambda s: f"subject {s.id}: outcomes must be finite")
-    z = np.array([float(s.z) for s in subjects])
-    ids = np.array([s.id for s in subjects], dtype=np.intp)
+          lambda i: "visit times must be finite and strictly increasing")
+    check(t[last] >= c, lambda i: f"visit at t = {t[last[i]]} is not before censoring time {c[i]}")
+    check(np.logical_or.reduceat(~np.isfinite(y), starts), lambda i: "outcomes must be finite")
     unique, seen = np.unique(ids, return_counts=True)
     if np.any(seen > 1):
         raise ValidationError(f"subject id {int(unique[seen > 1][0])} appears more than once")
@@ -235,7 +217,10 @@ def read_panel_csv(path) -> PanelDataset:
             rec["y"].append(y)
     if not by_subject:
         raise ValidationError(f"{path}: no data rows")
-    return build_panel(Subject(sid, rec["z"], rec["c"], rec["t"], rec["y"]) for sid, rec in by_subject.items())
+    recs = by_subject.values()
+    return build_panel(list(by_subject), [r["z"] for r in recs], [r["c"] for r in recs],
+                       [len(r["t"]) for r in recs], [v for r in recs for v in r["t"]],
+                       [v for r in recs for v in r["y"]])
 
 
 @dataclass(frozen=True)

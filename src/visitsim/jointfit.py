@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy.optimize
@@ -67,41 +66,13 @@ def _natural(theta: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class JointParams:
-    """Joint-model parameters; scale parameters are carried on the log scale."""
-
-    beta: float
-    log_lambda: float
-    log_p: float
-    alpha0: float
-    alpha1: float
-    alpha2: float
-    gamma: float
-    log_sigma_u: float
-    log_sigma_v: float
-    log_sigma_e: float
-
-    def __post_init__(self):
-        bad = ~np.isfinite(_natural(self.to_vector())) & _IS_LOG
-        if np.any(bad):
-            raise ValueError(f"{PARAM_NAMES[int(np.argmax(bad))]} must be positive and finite")
-
-    @classmethod
-    def from_vector(cls, theta) -> "JointParams":
-        return cls(*map(float, theta))
-
-    @classmethod
-    def from_natural(cls, values) -> "JointParams":
-        """Inverse of ``natural``: ``values`` maps every name in PARAM_NAMES to its value."""
-        return cls.from_vector([np.log(values[k]) / _LOG_SCALE[k] if k in _LOG_SCALE else values[k]
-                                for k in PARAM_NAMES])
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(astuple(self))
-
-    def natural(self) -> dict[str, float]:
-        return dict(zip(PARAM_NAMES, map(float, _natural(self.to_vector()))))
+def _theta(values) -> np.ndarray:
+    """The optimised vector at ``values``, a mapping over PARAM_NAMES; the inverse of ``_natural``."""
+    for k in _LOG_SCALE:
+        if not 0.0 < values[k] < np.inf:
+            raise ValueError(f"{k} must be positive and finite")
+    return np.array([np.log(values[k]) / _LOG_SCALE[k] if k in _LOG_SCALE else values[k] for k in PARAM_NAMES],
+                    dtype=float)
 
 
 class _JointData:
@@ -136,7 +107,7 @@ def _find_modes(b, w, lam_eff):
 
 
 def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
-    """(loglik, contrib, grad, hess) at ``theta`` = JointParams.to_vector() layout.
+    """(loglik, contrib, grad, hess) at the optimised vector ``theta``, as ``_theta`` lays it out.
 
     ``grad`` is None for ``derivs`` 0 and ``hess`` None for ``derivs`` < 2.
     Each subject's log integrand is h(U) = c + b*U - Lambda*e^U - w*U^2/2, so
@@ -244,27 +215,33 @@ def _evaluate(theta: np.ndarray, data: _JointData, derivs: int):
     return loglik, contrib, grad, hess
 
 
-def joint_loglik(params: JointParams, panel: PanelDataset, order: int = 25) -> float:
-    """Marginal joint log likelihood, frailty integrated by ``order``-node Gauss-Hermite."""
+def joint_loglik(params, panel: PanelDataset, order: int = 25) -> float:
+    """Marginal joint log likelihood, frailty integrated by ``order``-node Gauss-Hermite.
+
+    ``params`` maps each name in PARAM_NAMES to its value; a scale parameter
+    (lambda, p, a variance) that is not positive and finite raises ValueError.
+    """
     data = _JointData(panel, order)
-    loglik, contrib, *_ = _evaluate(params.to_vector(), data, 0)
+    loglik, contrib, *_ = _evaluate(_theta(params), data, 0)
     if not np.all(np.isfinite(contrib)):
         bad = int(data.panel.ids[int(np.nonzero(~np.isfinite(contrib))[0][0])])
         raise EstimationError(f"non-finite likelihood contribution for subject {bad}")
     return loglik
 
 
-def subject_log_contributions(params: JointParams, panel: PanelDataset, order: int = 25):
-    """Per-subject log likelihood contributions, as (subject_id, value) pairs."""
-    _, contrib, *_ = _evaluate(params.to_vector(), _JointData(panel, order), 0)
+def subject_log_contributions(params, panel: PanelDataset, order: int = 25):
+    """Per-subject log likelihood contributions, as (subject_id, value) pairs, at ``joint_loglik``'s params."""
+    _, contrib, *_ = _evaluate(_theta(params), _JointData(panel, order), 0)
     return list(zip((int(i) for i in panel.ids), (float(v) for v in contrib)))
 
 
-def recurrent_frailty_loglik(beta: float, lam: float, p: float, sigma_u2: float,
-                             panel: PanelDataset, order: int = 25) -> float:
-    """Log likelihood of the Weibull recurrent submodel alone (frailty integrated out)."""
-    theta = JointParams(beta, np.log(lam), np.log(p), 0.0, 0.0, 0.0, 0.0,
-                        0.5 * np.log(sigma_u2), 0.0, 0.0).to_vector()
+def recurrent_frailty_loglik(params, panel: PanelDataset, order: int = 25) -> float:
+    """Log likelihood of the Weibull recurrent submodel alone (frailty integrated out).
+
+    ``params`` maps beta, lambda, p and sigma_u2 to their values; other entries are not read.
+    """
+    theta = _theta({**dict.fromkeys(PARAM_NAMES, 0.0), "sigma_v2": 1.0, "sigma_e2": 1.0,
+                    **{k: params[k] for k in ("beta", "lambda", "p", "sigma_u2")}})
     # run the full evaluation, then subtract the longitudinal factor at gamma=0
     loglik, *_ = _evaluate(theta, _JointData(panel, order), 0)
     return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel)

@@ -16,11 +16,10 @@ import scipy.stats
 
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, draw_weibull_gap, parse_scenario_text, simulate_panel
-from visitsim.domain import Subject, build_panel
 from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, run_study,
                               summarize)
 from visitsim.iivw import fit_wgee
-from visitsim.jointfit import JointParams, joint_loglik, recurrent_frailty_loglik
+from visitsim.jointfit import joint_loglik, recurrent_frailty_loglik
 from visitsim.lmm import Adjustment, design_matrix, lmm_loglik
 from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 
@@ -302,8 +301,8 @@ class TestCriterion7OracleEquivalences:
             failures.append(f"lmm vs dense MVN: |diff|={abs(ours - oracle):.2e} >= 1e-10")
 
         # (b) joint likelihood vs 10^6-draw Monte Carlo integration
-        params = JointParams(1.0, np.log(0.3), np.log(1.05), 0.0, 1.0, 0.2, 1.5,
-                             0.0, 0.5 * np.log(0.5), 0.0)
+        params = {"beta": 1.0, "lambda": 0.3, "p": 1.05, "alpha0": 0.0, "alpha1": 1.0, "alpha2": 0.2,
+                  "gamma": 1.5, "sigma_u2": 1.0, "sigma_v2": 0.5, "sigma_e2": 1.0}
         mc, mcse = mc_oracle(params, rng_panel, ndraws=10**6)
         quad = joint_loglik(params, rng_panel)
         if abs(quad - mc) >= 3 * mcse:
@@ -329,10 +328,10 @@ class TestCriterion7OracleEquivalences:
             failures.append(f"unit-weight GEE vs OLS: max|diff|={np.max(np.abs(gee.estimates - ols)):.2e}")
 
         # (e) gamma = 0 likelihood separability
-        p0 = JointParams(0.9, np.log(0.28), np.log(1.1), 0.1, 0.9, 0.25, 0.0,
-                         np.log(0.9), 0.5 * np.log(0.45), 0.5 * np.log(1.1))
+        p0 = {"beta": 0.9, "lambda": 0.28, "p": 1.1, "alpha0": 0.1, "alpha1": 0.9, "alpha2": 0.25,
+              "gamma": 0.0, "sigma_u2": 0.81, "sigma_v2": 0.45, "sigma_e2": 1.1}
         joint = joint_loglik(p0, rng_panel)
-        split = (recurrent_frailty_loglik(0.9, 0.28, 1.1, 0.81, rng_panel)
+        split = (recurrent_frailty_loglik(p0, rng_panel)
                  + lmm_loglik([0.1, 0.9, 0.25], 0.45, 1.1, rng_panel, spec))
         if abs(joint - split) >= 1e-8:
             failures.append(f"gamma=0 separability: |diff|={abs(joint - split):.2e} >= 1e-8")

@@ -226,6 +226,16 @@ class TestSimulateGammaProcess:
         draws = rng.gamma(2.0, 1.0, size=10**6)
         assert draws.mean() == pytest.approx(2.0, abs=0.01)
 
+    @pytest.mark.parametrize("family", ["gamma_treatment", "gamma_treatment_lagged_y"])
+    def test_gap_that_does_not_advance_the_clock_ends_the_subject(self, family):
+        # a shape of 0.02 draws gaps that round away against the current visit time;
+        # the subject's visits end there instead of repeating a visit time
+        cfg = ScenarioConfig(family=family, gamma_shape=0.02, n_subjects=50)
+        for seed in range(20):
+            panel = simulate_panel(cfg, seed)
+            assert panel.n_subjects == 50
+            assert np.all(panel.gaps > 0.0)
+
     def test_lagged_scale_shortens_gaps_for_low_outcomes(self):
         cfg = ScenarioConfig(family="gamma_treatment_lagged_y", psi=2.0, omega=0.2, n_subjects=400)
         panel = simulate_panel(cfg, 21)

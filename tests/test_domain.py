@@ -7,30 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visitsim.domain import (FitResult, PanelDataset, Subject, build_panel, read_panel_csv,
-                             write_atomic, write_panel_csv)
+from panel_records import Record, columns_of, panel_of
+from visitsim.domain import FitResult, PanelDataset, build_panel, read_panel_csv, write_atomic, write_panel_csv
 from visitsim.errors import ValidationError
 
 
 def make_subject(sid=1, z=0, c=5.0, times=(0.0, 1.5, 3.0), ys=None):
     times = np.asarray(times, dtype=float)
     ys = np.zeros_like(times) if ys is None else ys
-    return Subject(sid, z, c, times, ys)
+    return Record(sid, z, c, times, ys)
 
 
 def panel_with(bad):
     """A panel of one valid subject followed by ``bad``, which the panel must reject."""
-    return build_panel([make_subject(sid=0), bad])
+    return panel_of([make_subject(sid=0), bad])
 
 
 class TestSubject:
     def test_valid(self):
-        times, ys = np.array([0.0, 1.5, 3.0]), np.array([0.1, 0.2, 0.3])
-        panel = build_panel([make_subject(times=times, ys=ys)])
+        columns = [np.array([1]), np.array([0]), np.array([5.0]), np.array([3]),
+                   np.array([0.0, 1.5, 3.0]), np.array([0.1, 0.2, 0.3])]
+        panel = build_panel(*columns)
         assert panel.counts.tolist() == [3]
         assert not any(getattr(panel, f.name).flags.writeable for f in fields(PanelDataset))
         # the panel holds copies: changing the inputs afterwards leaves it as built
-        times[1], ys[0] = 2.0, 9.0
+        for column in columns:
+            column[0] = 2
+        assert (panel.ids.tolist(), panel.z.tolist(), panel.censoring.tolist(), panel.counts.tolist()) == \
+            ([1], [0.0], [5.0], [3])
         assert panel.t.tolist() == [0.0, 1.5, 3.0]
         assert panel.y.tolist() == [0.1, 0.2, 0.3]
 
@@ -51,8 +55,13 @@ class TestSubject:
             panel_with(make_subject(c=3.0, times=(0.0, 3.0)))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            panel_with(Subject(1, 0, 5.0, [0.0, 1.0], [0.0]))
+        # one outcome short: the y column has one entry fewer than counts.sum()
+        with pytest.raises(ValidationError, match=r"t and y must be 1-d with counts.sum\(\) = 5 entries"):
+            panel_with(Record(1, 0, 5.0, [0.0, 1.0], [0.0]))
+
+    def test_counts_disagree_with_visit_rows(self):
+        with pytest.raises(ValidationError, match=r"t and y must be 1-d with counts.sum\(\) = 3 entries"):
+            build_panel([1], [0], [5.0], [3], [0.0, 1.0], [0.0, 0.0])
 
     def test_bad_treatment(self):
         with pytest.raises(ValidationError, match="treatment"):
@@ -60,20 +69,18 @@ class TestSubject:
 
     @pytest.mark.parametrize("times", [0.0, [[0.0, 1.0]]], ids=["0-d", "2-d"])
     def test_visit_times_not_one_dimensional(self, times):
-        with pytest.raises(ValidationError, match="subject 1: visit_times and outcomes must be 1-d"):
-            panel_with(Subject(1, 0, 5.0, times, np.zeros_like(times)))
+        with pytest.raises(ValidationError, match="t and y must be 1-d"):
+            build_panel([1], [0], [5.0], [2], times, [0.0, 0.0])
 
 
-def subject_rule_message(s: Subject) -> str | None:
-    """The error of the first per-subject rule ``s`` breaks, with the rules in the order and
-    wording that ``Subject`` used when it checked itself; None if ``s`` breaks none."""
+def subject_rule_message(s: Record) -> str | None:
+    """The error of the first per-subject rule ``s`` breaks, one subject at a time, with the
+    rules in ``build_panel``'s order and wording; None if ``s`` breaks none."""
     t, y = s.visit_times, s.outcomes
     if s.z not in (0, 1):
         return f"subject {s.id}: treatment z must be 0 or 1, got {s.z}"
     if not np.isfinite(s.censoring_time) or s.censoring_time <= 0:
         return f"subject {s.id}: censoring time must be a positive real"
-    if t.ndim != 1 or y.ndim != 1 or len(t) != len(y):
-        return f"subject {s.id}: visit_times and outcomes must be 1-d and equal length"
     if len(t) == 0:
         return f"subject {s.id}: needs at least the baseline visit"
     if t[0] != 0.0:
@@ -88,12 +95,15 @@ def subject_rule_message(s: Subject) -> str | None:
 
 
 BREAKS = ("t0", "repeat", "nan_time", "last_at_c", "bad_z", "y_inf", "c_nonpos", "c_inf", "no_visits",
-          "lengths", "not_1d", "repeat_id")
+          "lengths", "repeat_id")
+# the columns in build_panel's order; the first four hold one entry per subject
+COLUMNS = ("ids", "z", "censoring", "counts", "t", "y")
 
 
 @st.composite
 def subjects_with_breaks(draw):
-    """1-6 subjects, up to two of them broken by construction, each in one way."""
+    """1-6 subjects, up to two of them broken by construction, each in one way, and
+    maybe one column given one entry too many ("lengths") or a leading axis ("not_1d")."""
     n = draw(st.integers(1, 6))
     broken = dict(draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(BREAKS)), max_size=2)))
     subjects = []
@@ -126,29 +136,45 @@ def subjects_with_breaks(draw):
             t, y = t[:0], y[:0]
         elif kind == "lengths":
             y = np.append(y, 0.0)
-        elif kind == "not_1d":
-            t, y = t[None, :], y[None, :]
         elif kind == "repeat_id" and subjects:
             sid = draw(st.sampled_from([s.id for s in subjects]))
-        subjects.append(Subject(sid, z, c, t, y))
-    return subjects
+        subjects.append(Record(sid, z, c, t, y))
+    column_break = draw(st.none() | st.tuples(st.sampled_from(["lengths", "not_1d"]),
+                                              st.sampled_from(COLUMNS)))
+    return subjects, column_break
 
 
 class TestPanelRules:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(subjects_with_breaks())
-    def test_panel_rejects_what_the_subject_rules_reject(self, subjects):
-        # the panel checks one rule at a time over all subjects, so the subject it names
-        # breaks no earlier rule: its error is the one that subject's own check gave
+    def test_panel_rejects_what_the_subject_rules_reject(self, case):
+        # the column shapes are checked first; then the panel checks one rule at a time over
+        # all subjects, so the subject it names breaks no earlier rule: its error is the one
+        # that subject's own check gave
+        subjects, column_break = case
+        columns = dict(zip(COLUMNS, columns_of(subjects)))
+        if column_break is not None:
+            kind, name = column_break
+            col = np.asarray(columns[name])
+            columns[name] = np.append(col, 0) if kind == "lengths" else col[None]
+        total = sum(len(s.visit_times) for s in subjects)
+        if column_break is not None and column_break[1] in COLUMNS[:4]:
+            shape_error = "ids, z, censoring and counts must be 1-d and of equal length"
+        elif column_break is not None or any(len(s.outcomes) != len(s.visit_times) for s in subjects):
+            shape_error = f"t and y must be 1-d with counts.sum() = {total} entries"
+        else:
+            shape_error = None
         broken = [m for m in map(subject_rule_message, subjects) if m is not None]
         ids = [s.id for s in subjects]
         repeated = sorted({i for i in ids if ids.count(i) > 1})
-        if not broken and not repeated:
-            assert build_panel(subjects).n_subjects == len(subjects)
+        if not shape_error and not broken and not repeated:
+            assert build_panel(*columns.values()).n_subjects == len(subjects)
             return
         with pytest.raises(ValidationError) as info:
-            build_panel(subjects)
-        if broken:
+            build_panel(*columns.values())
+        if shape_error:
+            assert str(info.value) == shape_error
+        elif broken:
             assert str(info.value) in broken
         else:
             assert str(info.value) == f"subject id {repeated[0]} appears more than once"
@@ -157,13 +183,13 @@ class TestPanelRules:
 class TestBuildPanel:
     def test_gap_arithmetic(self):
         # visits {0, 1.5, 3.0}, C = 5 -> gaps {1.5 obs, 1.5 obs, 2.0 censored}
-        panel = build_panel([make_subject()])
+        panel = panel_of([make_subject()])
         gaps = [(g.index, g.gap, g.observed) for g in panel.gap_records]
         assert gaps == [(1, 1.5, True), (2, 1.5, True), (3, 2.0, False)]
 
     def test_baseline_only_subject(self):
         # visits {0}, C = 7 -> single censored gap of 7
-        panel = build_panel([make_subject(c=7.0, times=(0.0,))])
+        panel = panel_of([make_subject(c=7.0, times=(0.0,))])
         (g,) = panel.gap_records
         assert (g.index, g.gap, g.observed) == (1, 7.0, False)
 
@@ -174,7 +200,7 @@ class TestBuildPanel:
             n = int(rng.integers(1, 8))
             t = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 4.9, n - 1))])
             subjects.append(make_subject(sid=i, times=t, ys=rng.normal(size=n)))
-        panel = build_panel(subjects)
+        panel = panel_of(subjects)
         for sid, n, c in zip(panel.ids, panel.counts, panel.censoring):
             recs = [g for g in panel.gap_records if g.subject_id == sid]
             assert sum(g.observed for g in recs) == n - 1
@@ -183,8 +209,8 @@ class TestBuildPanel:
 
     def test_order_preserving(self):
         subjects = [make_subject(sid=i, times=(0.0, 0.5 + i * 0.1)) for i in range(5)]
-        panel = build_panel(subjects)
-        permuted = build_panel(subjects[::-1])
+        panel = panel_of(subjects)
+        permuted = panel_of(subjects[::-1])
         assert permuted.ids.tolist() == panel.ids.tolist()[::-1]
         fwd = {(g.subject_id, g.index): g for g in panel.gap_records}
         rev = {(g.subject_id, g.index): g for g in permuted.gap_records}
@@ -192,17 +218,17 @@ class TestBuildPanel:
 
     def test_idempotent(self):
         subjects = [make_subject()]
-        assert build_panel(subjects).gap_records == build_panel(subjects).gap_records
+        assert panel_of(subjects).gap_records == panel_of(subjects).gap_records
 
     def test_empty_panel_rejected(self):
-        with pytest.raises(ValidationError):
-            build_panel([])
+        with pytest.raises(ValidationError, match="at least one subject"):
+            build_panel([], [], [], [], [], [])
 
     def test_duplicate_subject_id_rejected(self):
         subjects = [make_subject(sid=1, z=0), make_subject(sid=2), make_subject(sid=1, z=1),
                     make_subject(sid=3)]
         with pytest.raises(ValidationError, match="subject id 1 appears more than once"):
-            build_panel(subjects)
+            panel_of(subjects)
 
 
 class TestPanelCsv:
@@ -212,9 +238,9 @@ class TestPanelCsv:
         for i in range(10):
             n = int(rng.integers(1, 6))
             t = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 4.9, n - 1))])
-            subjects.append(Subject(i + 1, int(rng.integers(0, 2)), float(rng.uniform(5, 10)),
-                                    t, rng.normal(size=n)))
-        panel = build_panel(subjects)
+            subjects.append(Record(i + 1, int(rng.integers(0, 2)), float(rng.uniform(5, 10)),
+                                   t, rng.normal(size=n)))
+        panel = panel_of(subjects)
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         back = read_panel_csv(path)
@@ -267,8 +293,7 @@ class TestWriteAtomic:
 class TestRowArrays:
     def test_shapes_and_starts(self):
         # subject 7: z = 1, visits {0, 1.5, 3.0}, C = 5; subject 2: z = 0, visit {0}, C = 4
-        panel = build_panel([make_subject(sid=7, z=1, ys=np.array([0.1, 0.2, 0.3])),
-                             make_subject(sid=2, c=4.0, times=(0.0,), ys=np.array([0.4]))])
+        panel = build_panel([7, 2], [1, 0], [5.0, 4.0], [3, 1], [0.0, 1.5, 3.0, 0.0], [0.1, 0.2, 0.3, 0.4])
         assert list(panel.ids) == [7, 2]
         assert list(panel.z) == [1.0, 0.0]
         assert list(panel.censoring) == [5.0, 4.0]

@@ -3,9 +3,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from panel_records import Record, panel_of
 from visitsim import harness
 from visitsim.dgm import ScenarioConfig, simulate_panel
-from visitsim.domain import Subject, build_panel
 from visitsim.errors import ValidationError
 from visitsim.harness import (PERFORMANCE_CSV_COLUMNS, EstimateRow, EstimatesTable, StudyConfig,
                               describe_datasets, diagnose_informativeness, run_study, summarize)
@@ -38,7 +38,7 @@ class TestStudyConfig:
 class TestFitModel:
     @pytest.mark.parametrize("label", ["F", "d", "", None])
     def test_unknown_label_rejected(self, label):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0], [0.1, 0.2])])
+        panel = panel_of([Record(1, 0, 5.0, [0.0, 1.0], [0.1, 0.2])])
         with pytest.raises(ValidationError, match="unknown model label"):
             harness.fit_model(panel, label)
 
@@ -252,9 +252,9 @@ class TestDiagnose:
         # gap equal to the covariate rank: perfect Spearman correlation
         subs, cov = [], {}
         for i, x in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
-            subs.append(Subject(i, int(x > 2.5), 20.0, [0.0, x], [0.0, 0.0]))
+            subs.append(Record(i, int(x > 2.5), 20.0, [0.0, x], [0.0, 0.0]))
             cov[i] = x
-        panel = build_panel(subs)
+        panel = panel_of(subs)
         diag = diagnose_informativeness(panel, covariate=cov, n_permutations=199)
         assert diag.applicable
         assert diag.spearman_rho == pytest.approx(1.0)
@@ -278,8 +278,8 @@ class TestDiagnose:
         assert diag.spearman_pvalue > 0.01
 
     def test_constant_covariate_inapplicable(self):
-        subs = [Subject(i, 1, 9.0, [0.0, 1.0 + 0.1 * i], [0.0, 0.0]) for i in range(1, 6)]
-        diag = diagnose_informativeness(build_panel(subs), n_permutations=99)
+        subs = [Record(i, 1, 9.0, [0.0, 1.0 + 0.1 * i], [0.0, 0.0]) for i in range(1, 6)]
+        diag = diagnose_informativeness(panel_of(subs), n_permutations=99)
         assert not diag.applicable
         assert np.isnan(diag.spearman_rho)
 

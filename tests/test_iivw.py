@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from panel_records import subjects_of
+from panel_records import Record, panel_of, subjects_of
 from visitsim.dgm import ScenarioConfig, simulate_panel
-from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.iivw import compute_iiv_weights, fit_iivw, fit_wgee
 from visitsim.survfit import CoxFit, _CoxData, fit_andersen_gill
@@ -14,10 +13,10 @@ def toy_coxfit(eta, converged=True):
 
 
 def simple_panel():
-    return build_panel([
-        Subject(1, 1, 5.0, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3]),
-        Subject(2, 0, 6.0, [0.0, 2.0], [0.4, 0.5]),
-        Subject(3, 1, 6.0, [0.0], [0.6]),
+    return panel_of([
+        Record(1, 1, 5.0, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3]),
+        Record(2, 0, 6.0, [0.0, 2.0], [0.4, 0.5]),
+        Record(3, 1, 6.0, [0.0], [0.6]),
     ])
 
 

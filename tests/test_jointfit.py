@@ -3,14 +3,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from panel_records import subjects_of
+from panel_records import Record, panel_of, subjects_of
 from visitsim import jointfit, lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
-from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.harness import StudyConfig, _replication_rows
-from visitsim.jointfit import (PARAM_NAMES, JointParams, _JointData, _evaluate, _starting_theta,
+from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta,
                                fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
                                subject_log_contributions)
 from visitsim.lmm import Adjustment, fit_lmm, lmm_loglik
@@ -22,17 +21,17 @@ def preset(name):
 
 
 def typical_params(lam=0.3, gamma=1.5):
-    return JointParams(1.0, np.log(lam), np.log(1.05), 0.0, 1.0, 0.2, gamma,
-                       0.0, 0.5 * np.log(0.5), 0.0)
+    return {"beta": 1.0, "lambda": lam, "p": 1.05, "alpha0": 0.0, "alpha1": 1.0, "alpha2": 0.2,
+            "gamma": gamma, "sigma_u2": 1.0, "sigma_v2": 0.5, "sigma_e2": 1.0}
 
 
-def mc_oracle(params: JointParams, panel, ndraws=10**6, seed=123):
+def mc_oracle(params, panel, ndraws=10**6, seed=123):
     """Independent Monte Carlo integration over the frailty, one stream per call.
 
     Every per-draw quantity reduces to scalars per subject, so a million draws
     stay cheap.  Returns (total loglik estimate, its standard error).
     """
-    theta = params.to_vector()
+    theta = _theta(params)
     (beta, log_lam, log_p, a0, a1, a2, gamma, log_su, log_sv, log_se) = theta
     lam, p = np.exp(log_lam), np.exp(log_p)
     su2, sv2, se2 = np.exp(2 * log_su), np.exp(2 * log_sv), np.exp(2 * log_se)
@@ -75,7 +74,7 @@ class TestQuadratureRule:
             gauss_hermite(2)
 
     def test_fit_options_order_bound(self):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
+        panel = panel_of([Record(1, 0, 5.0, [0.0], [0.0])])
         with pytest.raises(ValidationError, match="quadrature order must be >= 3"):
             fit_joint(panel, order=2)
         # order 3 passes the check, so the one-subject guard is what stops this fit
@@ -106,10 +105,10 @@ class TestLoglik:
         # recurrent part and the plain mixed-model part
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40)
         panel = simulate_panel(cfg, 42)
-        params = JointParams(0.9, np.log(0.28), np.log(1.1), 0.1, 0.9, 0.25, 0.0,
-                             np.log(0.9), 0.5 * np.log(0.45), 0.5 * np.log(1.1))
+        params = {"beta": 0.9, "lambda": 0.28, "p": 1.1, "alpha0": 0.1, "alpha1": 0.9, "alpha2": 0.25,
+                  "gamma": 0.0, "sigma_u2": 0.81, "sigma_v2": 0.45, "sigma_e2": 1.1}
         joint = joint_loglik(params, panel, 25)
-        rec = recurrent_frailty_loglik(0.9, 0.28, 1.1, 0.81, panel, 25)
+        rec = recurrent_frailty_loglik(params, panel, 25)
         lmm_part = lmm_loglik([0.1, 0.9, 0.25], 0.45, 1.1, panel, Adjustment.NONE)
         assert abs(joint - rec - lmm_part) < 1e-8
 
@@ -143,7 +142,7 @@ class TestLoglik:
         panel = simulate_panel(cfg, 42)
         data = _JointData(panel, 25)
         rng = np.random.default_rng(0)
-        base = typical_params().to_vector()
+        base = _theta(typical_params())
         for _ in range(10):
             theta = base + rng.normal(0, 0.15, 10)
             _, _, grad, _ = _evaluate(theta, data, 1)
@@ -160,7 +159,7 @@ class TestLoglik:
         # trust-exact reads the gradient from the derivs-2 evaluation
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40)
         data = _JointData(simulate_panel(cfg, 42), 25)
-        theta = typical_params().to_vector() + np.random.default_rng(1).normal(0, 0.15, 10)
+        theta = _theta(typical_params()) + np.random.default_rng(1).normal(0, 0.15, 10)
         ll1, contrib1, grad1, hess1 = _evaluate(theta, data, 1)
         ll2, contrib2, grad2, hess2 = _evaluate(theta, data, 2)
         assert hess1 is None
@@ -171,10 +170,16 @@ class TestLoglik:
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=30)
         panel = simulate_panel(cfg, 4)
-        rev = build_panel(subjects_of(panel)[::-1])
+        rev = panel_of(subjects_of(panel)[::-1])
         params = typical_params()
         assert joint_loglik(params, panel, 25) == pytest.approx(
             joint_loglik(params, rev, 25), abs=1e-9)
+
+    @pytest.mark.parametrize("name,value", [("sigma_u2", 0.0), ("p", -1.0), ("lambda", np.inf)])
+    def test_scale_parameter_not_positive_and_finite_rejected(self, name, value):
+        panel = simulate_panel(ScenarioConfig(family="joint_model", n_subjects=5), 4)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            joint_loglik({**typical_params(), name: value}, panel, 25)
 
     def test_contributions_sum_to_total(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=20)
@@ -194,7 +199,7 @@ class TestFit:
         assert fit.model_label == "A"
         assert np.all(fit.std_errors > 0)
 
-        shifted = build_panel([s._replace(outcomes=s.outcomes + 3.0) for s in subjects_of(panel)])
+        shifted = panel_of([s._replace(outcomes=s.outcomes + 3.0) for s in subjects_of(panel)])
         fit2 = fit_joint(shifted)
         assert fit2.estimate("alpha0") - fit.estimate("alpha0") == pytest.approx(3.0, abs=1e-5)
         keep = [n for n in fit.param_names if n != "alpha0"]
@@ -206,18 +211,14 @@ class TestFit:
         panel = simulate_panel(cfg, 61)
         fit = fit_joint(panel)
         assert fit.converged
-        theta_hat = JointParams(
-            fit.estimate("beta"), np.log(fit.estimate("lambda")), np.log(fit.estimate("p")),
-            fit.estimate("alpha0"), fit.estimate("alpha1"), fit.estimate("alpha2"),
-            fit.estimate("gamma"), 0.5 * np.log(fit.estimate("sigma_u2")),
-            0.5 * np.log(fit.estimate("sigma_v2")), 0.5 * np.log(fit.estimate("sigma_e2")))
-        base = joint_loglik(theta_hat, panel, 25)
+        estimates = dict(zip(fit.param_names, fit.estimates))
+        base = joint_loglik(estimates, panel, 25)
         assert base == pytest.approx(fit.loglik, abs=1e-6)
         rng = np.random.default_rng(5)
-        vec = theta_hat.to_vector()
+        vec = _theta(estimates)
         for _ in range(5):
             pert = vec + rng.normal(0, 0.05, 10)
-            assert joint_loglik(JointParams.from_vector(pert), panel, 25) < base
+            assert joint_loglik(dict(zip(PARAM_NAMES, _natural(pert))), panel, 25) < base
 
     def test_estimates_converged_in_quadrature_order(self):
         # the fitted optimum, gamma-hat included, does not move between
@@ -230,14 +231,14 @@ class TestFit:
         np.testing.assert_allclose(fit25.estimates, fit50.estimates, rtol=0, atol=1e-6)
 
     def test_two_subject_guard(self):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
+        panel = panel_of([Record(1, 0, 5.0, [0.0], [0.0])])
         with pytest.raises(Exception):
             fit_joint(panel)
 
     def test_sparse_panel_warns(self):
-        subs = [Subject(i + 1, i % 2, 5.0, [0.0], [0.1 * i]) for i in range(10)]
+        subs = [Record(i + 1, i % 2, 5.0, [0.0], [0.1 * i]) for i in range(10)]
         with pytest.warns(UserWarning, match="weakly identified"):
-            fit_joint(build_panel(subs), order=7)
+            fit_joint(panel_of(subs), order=7)
 
 
 def test_start_values_build_no_information_matrix(monkeypatch):
@@ -283,7 +284,7 @@ def test_information_matches_central_differences(name):
     fit = fit_joint(panel)
     assert fit.converged
     data = _JointData(panel, 25)
-    theta = JointParams.from_natural(dict(zip(fit.param_names, fit.estimates))).to_vector()
+    theta = _theta(dict(zip(fit.param_names, fit.estimates)))
     hess = _evaluate(theta, data, 2)[3]
     # a variance at its boundary (sigma_v2 -> 0 on the regular-visit preset) leaves
     # its log with no curvature to compare

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from panel_records import subjects_of
+from panel_records import Record, panel_of, subjects_of
 from visitsim import lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
-from visitsim.domain import Subject, build_panel
 from visitsim.errors import EstimationError
 from visitsim.lmm import (GRAD_TOL, Adjustment, _evaluate, _fit_result, _lmm_estimates, design_matrix,
                           fit_lmm, lmm_loglik)
@@ -25,8 +24,8 @@ def random_panel(n_subjects=3, seed=5, c=5.0):
     for i in range(n_subjects):
         n = int(rng.integers(1, 5))
         t = np.concatenate([[0.0], np.sort(rng.uniform(0.1, c - 0.1, n - 1))])
-        subs.append(Subject(i + 1, int(rng.integers(0, 2)), c, t, rng.normal(size=n)))
-    return build_panel(subs)
+        subs.append(Record(i + 1, int(rng.integers(0, 2)), c, t, rng.normal(size=n)))
+    return panel_of(subs)
 
 
 def central_difference_information(fun_grad, theta):
@@ -74,8 +73,8 @@ class TestLoglik:
 
     def test_single_observation_limit(self):
         # one subject, one row, sigma_v2 -> 0: plain normal density
-        panel = build_panel([Subject(1, 1, 5.0, [0.0], [0.7]),
-                             Subject(2, 0, 5.0, [0.0], [-0.1])])
+        panel = panel_of([Record(1, 1, 5.0, [0.0], [0.7]),
+                             Record(2, 0, 5.0, [0.0], [-0.1])])
         alpha = np.array([0.1, 0.2, 0.0])
         got = lmm_loglik(alpha, 1e-14, 1.1, panel)
         mus = np.array([0.1 + 0.2, 0.1])
@@ -112,13 +111,13 @@ class TestLoglik:
 
 class TestDesignMatrix:
     def test_model_c_counts_are_cumulative_inclusive(self):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0, 2.0], [0.0] * 3)])
+        panel = panel_of([Record(1, 0, 5.0, [0.0, 1.0, 2.0], [0.0] * 3)])
         X = design_matrix(panel, Adjustment.CUMULATIVE_COUNT)
         np.testing.assert_array_equal(X[:, 3], [1.0, 2.0, 3.0])
 
     def test_model_b_centering(self):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0, 1.0], [0.0] * 2),
-                             Subject(2, 1, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)])
+        panel = panel_of([Record(1, 0, 5.0, [0.0, 1.0], [0.0] * 2),
+                             Record(2, 1, 5.0, [0.0, 1.0, 2.0, 3.0], [0.0] * 4)])
         X = design_matrix(panel, Adjustment.TOTAL_COUNT_CENTERED)
         np.testing.assert_allclose(X[:2, 3], -1.0)   # 2 visits, mean count 3
         np.testing.assert_allclose(X[2:, 3], 1.0)
@@ -132,14 +131,14 @@ class TestFit:
             t = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 4.9, 3))])
             z = int(rng.integers(0, 2))
             y = 2.0 + 1.0 * z + 0.5 * t + rng.normal(0, 1e-6, 4)
-            subs.append(Subject(i + 1, z, 5.0, t, y))
-        fit = fit_lmm(build_panel(subs), Adjustment.NONE)
+            subs.append(Record(i + 1, z, 5.0, t, y))
+        fit = fit_lmm(panel_of(subs), Adjustment.NONE)
         np.testing.assert_allclose(fit.estimates[:3], [2.0, 1.0, 0.5], atol=1e-4)
 
     def test_subject_reordering_invariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=60)
         panel = simulate_panel(cfg, 44)
-        rev = build_panel(subjects_of(panel)[::-1])
+        rev = panel_of(subjects_of(panel)[::-1])
         a = fit_lmm(panel, Adjustment.NONE)
         b = fit_lmm(rev, Adjustment.NONE)
         np.testing.assert_allclose(a.estimates, b.estimates, atol=1e-8)
@@ -147,7 +146,7 @@ class TestFit:
     def test_shift_equivariance(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=0.0, n_subjects=50)
         panel = simulate_panel(cfg, 45)
-        shifted = build_panel([s._replace(outcomes=s.outcomes + 5.0) for s in subjects_of(panel)])
+        shifted = panel_of([s._replace(outcomes=s.outcomes + 5.0) for s in subjects_of(panel)])
         a = fit_lmm(panel, Adjustment.NONE)
         b = fit_lmm(shifted, Adjustment.NONE)
         assert b.estimate("alpha0") - a.estimate("alpha0") == pytest.approx(5.0, abs=1e-6)
@@ -155,12 +154,12 @@ class TestFit:
 
     def test_collinear_design_identified(self):
         # constant covariate z makes the treatment column collinear with the intercept
-        subs = [Subject(i + 1, 1, 5.0, [0.0, 1.0], [0.1, 0.2]) for i in range(5)]
+        subs = [Record(i + 1, 1, 5.0, [0.0, 1.0], [0.1, 0.2]) for i in range(5)]
         with pytest.raises(EstimationError, match="alpha"):
-            fit_lmm(build_panel(subs), Adjustment.NONE)
+            fit_lmm(panel_of(subs), Adjustment.NONE)
 
     def test_two_subject_precondition(self):
-        panel = build_panel([Subject(1, 0, 5.0, [0.0], [0.0])])
+        panel = panel_of([Record(1, 0, 5.0, [0.0], [0.0])])
         with pytest.raises(EstimationError):
             fit_lmm(panel, Adjustment.NONE)
 
@@ -202,8 +201,8 @@ class TestFit:
             t = np.array([0.0, 1.0, 2.0])
             z = i % 2
             y = 1.0 + 0.5 * z + 0.2 * t + rng.uniform(0.5, 1.5) * np.array([1.0, -2.0, 1.0])
-            subs.append(Subject(i + 1, z, 5.0, t, y))
-        fit = fit_lmm(build_panel(subs), Adjustment.NONE)
+            subs.append(Record(i + 1, z, 5.0, t, y))
+        fit = fit_lmm(panel_of(subs), Adjustment.NONE)
         assert fit.converged
         np.testing.assert_allclose(fit.estimates[:3], [1.0, 0.5, 0.2], atol=1e-10)
         assert fit.estimate("sigma_v2") < 1e-10 * fit.estimate("sigma_e2")

@@ -34,3 +34,11 @@ def test_per_family_simulators_and_config_file_reader_are_gone():
         assert name not in visitsim.__all__, name
         assert not hasattr(visitsim, name), name
         assert not hasattr(visitsim.dgm, name), name
+
+
+def test_subject_and_joint_params_records_are_gone():
+    # build_panel takes a panel's columns; model A's likelihoods take a name -> value mapping
+    for name in ("Subject", "JointParams"):
+        assert name not in visitsim.__all__, name
+        for namespace in (visitsim, visitsim.domain, visitsim.jointfit):
+            assert not hasattr(namespace, name), (namespace.__name__, name)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from panel_records import subjects_of
+from panel_records import panel_of, subjects_of
 from visitsim import survfit
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
-from visitsim.domain import GapRecord, build_panel
+from visitsim.domain import GapRecord
 from visitsim.errors import EstimationError
 from visitsim.survfit import (_CoxData, _grad_tol, _jackknife_cov, _weibull_loglik_grad_hess,
                               cox_partial_loglik, fit_andersen_gill, fit_weibull_ph)
@@ -158,7 +158,7 @@ class TestFromPanel:
     def test_drop_subject_equals_panel_without_it(self):
         panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40), 13)
         dropped = _CoxData.from_panel(panel).drop_subject(panel.ids[5])
-        rebuilt = _CoxData.from_panel(build_panel(s for s in subjects_of(panel) if s.id != panel.ids[5]))
+        rebuilt = _CoxData.from_panel(panel_of(s for s in subjects_of(panel) if s.id != panel.ids[5]))
         for name in ("gaps", "events", "Z", "subjects", "risk_end", "event_idx"):
             np.testing.assert_array_equal(getattr(dropped, name), getattr(rebuilt, name))
 
