@@ -109,11 +109,17 @@ def build_panel(ids, z, censoring, counts, t, y) -> PanelDataset:
     Deterministic and order-preserving; the panel shares no memory with its
     inputs.
     """
-    ids, counts = np.array(ids, dtype=np.intp), np.array(counts, dtype=np.intp)
+    ids, counts = np.asarray(ids), np.asarray(counts)
     z, c = np.array(z, dtype=float), np.array(censoring, dtype=float)
     t, y = np.array(t, dtype=float), np.array(y, dtype=float)
     if not (ids.ndim == z.ndim == c.ndim == counts.ndim == 1 and len(ids) == len(z) == len(c) == len(counts)):
         raise ValidationError("ids, z, censoring and counts must be 1-d and of equal length")
+    for name, values in (("id", ids), ("visit count", counts)):
+        whole = np.isfinite(values) & (values == np.round(values))
+        if not np.all(whole):
+            i = int(np.argmin(whole))
+            raise ValidationError(f"subject {ids[i]}: {name} must be a whole number, got {values[i]}")
+    ids, counts = ids.astype(np.intp), counts.astype(np.intp)
     if not (t.ndim == y.ndim == 1 and len(t) == len(y) == counts.sum()):
         raise ValidationError(f"t and y must be 1-d with counts.sum() = {counts.sum()} entries")
     if len(ids) == 0:

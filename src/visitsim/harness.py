@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from . import iivw, jointfit
 from .dgm import ScenarioConfig, simulate_panel
@@ -376,6 +375,8 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
     shuffles the covariate at the subject level, which respects the
     within-subject correlation of gap times.
     """
+    import scipy.stats  # here, not at module level: it is slow to import and no study needs it
+
     if panel.n_subjects < 2:
         raise ValidationError("diagnostics need at least 2 subjects")
     if n_permutations < 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.optimize
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError
@@ -137,6 +136,65 @@ MAX_ITER = 500
 GRAD_TOL = 1e-6
 # the search interval of log(sigma_v2 / sigma_e2); at the lower end sigma_v2 is 1.4e-11 * sigma_e2
 LOG_RHO_BOUNDS = (-25.0, 15.0)
+# Brent's method: scipy.optimize.brentq's default tolerances and iteration limit
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of ``f`` between ``xa`` and ``xb``, by the steps of scipy.optimize.brentq.
+
+    Brent's method (Brent, Algorithms for Minimization Without Derivatives,
+    1973, ch. 4), line for line as scipy's ``brentq.c`` with its default
+    tolerances, so it returns the same root to the bit after the same calls of
+    ``f``.  The bracket keeps ``xa``'s sign at one end and ``xb``'s at the other.
+    A NaN value of ``f`` or a bracket whose ends have the same sign raises
+    ValueError; no convergence in _BRENT_MAX_ITER steps raises RuntimeError.
+    """
+    def value(x):
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)                        # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                                # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                                             # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis                                                      # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {_BRENT_MAX_ITER} iterations, value is {xcur}")
 
 
 class _Profile:
@@ -181,15 +239,15 @@ class _Profile:
         """log rho at a local minimum of the profiled deviance on LOG_RHO_BOUNDS.
 
         That is a root of the slope where it rises through zero, or a bound
-        the slope points out of.  brentq keeps the negative end of its
-        bracket below the positive one, so the root it returns is a minimum.
+        the slope points out of.  Brent's method keeps the negative end of
+        its bracket below the positive one, so the root it returns is a minimum.
         """
         lo, hi = LOG_RHO_BOUNDS
         if self.slope(lo) >= 0.0:
             return lo
         if self.slope(hi) <= 0.0:
             return hi
-        return scipy.optimize.brentq(self.slope, lo, hi)
+        return _brentq(self.slope, lo, hi)
 
 
 def _fit_result(label: str, names, estimates: np.ndarray, fval: float, grad: np.ndarray,

@@ -224,6 +224,17 @@ class TestBuildPanel:
         with pytest.raises(ValidationError, match="at least one subject"):
             build_panel([], [], [], [], [], [])
 
+    def test_non_whole_ids_and_counts_rejected(self):
+        # neither is truncated to an integer: 1.7 would become 1
+        columns = dict(z=[0, 1], censoring=[5.0, 6.0], t=[0.0, 0.0], y=[0.1, 0.2])
+        with pytest.raises(ValidationError, match=r"^subject 1.2: id must be a whole number, got 1.2$"):
+            build_panel(ids=[1.2, 1.7], counts=[1, 1], **columns)
+        with pytest.raises(ValidationError, match=r"^subject 1: visit count must be a whole number, got 1.9$"):
+            build_panel(ids=[1, 2], counts=[1.9, 1], **columns)
+        with pytest.raises(ValidationError, match=r"^subject 1.2: id must be a whole number"):
+            build_panel(ids=[1.2, 1.7], counts=[1.9, 1], **columns)
+        assert list(build_panel(ids=[1.0, 2.0], counts=[1.0, 1], **columns).ids) == [1, 2]
+
     def test_duplicate_subject_id_rejected(self):
         subjects = [make_subject(sid=1, z=0), make_subject(sid=2), make_subject(sid=1, z=1),
                     make_subject(sid=3)]

@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "582805caa2fc63676eb1fdc573f6fb26a527d2d09df8b53cce6246321b0d54f7",
-    "gamma_psi2": "741c26767e142eed81486a874d52718127fbe7780927cdaf8dc291ea3fcecc49",
-    "gamma_lagy": "5c6cde95442d58b766772d6950ee83e5df51c280c9274e804cc3dbf4d907777c",
-    "jm_g0_l010": "2dda8c2a16953f5aed88d6af6ce5e3dbb0ae782c06919dc447c26be0a5cc07bc",
-    "jm_g0_l030": "b581757b0703fcf8b32deec0db66ee90596ee549c18bf90083b911dbf0ea8e2a",
-    "jm_g0_l100": "2c24042bcefaefdc87a7be9c4a46f2afbd9706c06f4e24e8643c71b932e6c04e",
-    "jm_g15_l010": "c6e520eeefede2e575db5e2264672cff7314ca5879067bb79a9f109012791368",
-    "jm_g15_l030": "f0e84a3b6454c29999b6870a6a4c9fd9050018cda089c7bf159e0d3fbebe25df",
-    "jm_g15_l100": "8b7a3f4f650dc17a0fd0294db700730abc93f77a633906b2ec5e02fc725dbd48",
-    "jm_g30_l005_regular": "57138f04e5e86d5341e306caabb216c89609b7a29a4bc8df07409071b34a7b04",
+    "gamma_psi0": "ef26fd2099db57a97ec3092a15262cafe0ea4d79d5ef100ecfe1b91112ce7fda",
+    "gamma_psi2": "115658ec9cd31d3544a5d22fb0b88a6463b58418909933c6afd32ba1ecaf29f7",
+    "gamma_lagy": "5af3dbd1e892545a4bfe1dc2905133184c3dd35f8e5466786926c0b97952600d",
+    "jm_g0_l010": "0441053591bae694913c847cd3e9eabdeb84e9e034f90b8b3182d4f95e885407",
+    "jm_g0_l030": "cee3d8f73ecdf4c39f106aa6d6f881dedf31bc8b36a6bbe22a134d4c28525b55",
+    "jm_g0_l100": "a53f18892da4a19bae90dc631d0730ae1fbc0d2f51ac95ddde19e35a90f7d00b",
+    "jm_g15_l010": "9043e12d6a8fe5688238782323cd61387bf055079a7f5ff3836f1c7d7ce58719",
+    "jm_g15_l030": "003e0f651b8891067ea018812bac3133795dbe7c78688faef1e268f8edc33177",
+    "jm_g15_l100": "80990e732efd307b1d8c7925fbc13667d5c08e8c6f482582eac04f777eed98c2",
+    "jm_g30_l005_regular": "ab52d0d24aa351519189ea093757d106b52c5110a825a6c55e9a98fd579e6389",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,8 +64,8 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "5cf33797b57e27498054dd2bf30853c364bdb41f132dc41f75a038369278c1ff",
-    "loglik_A.csv": "98a20e9b18e105f93760a8bcf4300f4bfb288e58c180883e597b7dac4aa1cfcd",
+    "fit_A.json": "278cf93d502f8c2b072637911859d4f74a3b3dff0dbd992b0ca43900444bba5a",
+    "loglik_A.csv": "69c3fdc2040c8e7dfc80ba97da16804086282a012c9bdeffcaf0ed89823948e8",
     "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
 }
 

@@ -1,5 +1,7 @@
 from importlib import resources
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.harness import StudyConfig, _replication_rows
 from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta,
-                               fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
+                               _trust_region_step, fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
                                subject_log_contributions)
 from visitsim.lmm import Adjustment, fit_lmm, lmm_loglik
 
@@ -156,7 +158,7 @@ class TestLoglik:
                 assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_gradient_same_at_every_derivative_order_and_hessian_symmetric(self):
-        # trust-exact reads the gradient from the derivs-2 evaluation
+        # the trust region reads the score from the derivative pass at derivs 2
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, gamma=1.5, n_subjects=40)
         data = _JointData(simulate_panel(cfg, 42), 25)
         theta = _theta(typical_params()) + np.random.default_rng(1).normal(0, 0.15, 10)
@@ -309,15 +311,94 @@ def test_information_matches_central_differences(name):
 @pytest.mark.parametrize("information", [np.full((10, 10), np.nan), -1e300 * np.eye(10)])
 def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, information):
     # a non-finite information raises EstimationError, and -1e300 times the identity
-    # stops the trust region; either way the study records a failed fit of model A
-    real = jointfit._evaluate
+    # leaves the trust region no predicted gain; either way the study records a failed fit of model A
+    real = jointfit._derivatives
 
-    def evaluate(theta, data, derivs):
-        ll, contrib, grad, hess = real(theta, data, derivs)
-        return ll, contrib, grad, None if hess is None else information
+    def derivatives(data, pt, derivs):
+        grad, hess = real(data, pt, derivs)
+        return grad, None if hess is None else information
 
-    monkeypatch.setattr(jointfit, "_evaluate", evaluate)
-    study = StudyConfig(scenario=preset("jm_g15_l010"), models=("A", "D"), replications=2)
+    monkeypatch.setattr(jointfit, "_derivatives", derivatives)
+    config = preset("jm_g15_l010")
+    panel = simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    if np.isnan(information).any():
+        with pytest.raises(EstimationError, match="non-finite observed information"):
+            fit_joint(panel)
+    else:
+        fit = fit_joint(panel)
+        assert not fit.converged and fit.message.startswith("optimizer: no predicted gain")
+    study = StudyConfig(scenario=config, models=("A", "D"), replications=2)
     rows = _replication_rows(study, 1)
     assert [r.converged for r in rows if r.model == "A"] == [False] * len(PARAM_NAMES)
     assert all(r.converged for r in rows if r.model == "D")
+
+
+def random_symmetric(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues and a random orthonormal eigenbasis, and that basis."""
+    Q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return (Q * eigenvalues) @ Q.T, Q
+
+
+@pytest.mark.parametrize("kind", ["positive definite", "indefinite", "hard case"])
+def test_trust_region_step_solves_the_subproblem(kind):
+    # the step's optimality conditions (Moré & Sorensen 1983): |p| <= radius and
+    # (B + lam I) p = -g with lam >= 0, B + lam I positive semi-definite, lam (radius - |p|) = 0
+    rng = np.random.default_rng(["positive definite", "indefinite", "hard case"].index(kind))
+    for _ in range(200):
+        if kind == "positive definite":
+            eigenvalues = 10.0 ** rng.uniform(-3, 3, 10)
+        else:
+            eigenvalues = np.append(-10.0 ** rng.uniform(-3, 1), rng.uniform(-5, 5, 9))
+        B, Q = random_symmetric(rng, eigenvalues)
+        g = rng.normal(size=10) * 10.0 ** rng.uniform(-3, 3)
+        radius = 10.0 ** rng.uniform(-3, 2)
+        if kind == "hard case":
+            lowest = Q[:, np.argmin(eigenvalues)]
+            g -= (lowest @ g) * lowest
+            # the step at lam = -min(eigenvalues), g's components alone, is shorter than the radius
+            shift = np.sort(eigenvalues)[1:] - eigenvalues.min()
+            radius = np.linalg.norm((Q.T @ g)[np.argsort(eigenvalues)][1:] / shift) * rng.uniform(1.01, 10)
+        p, lam = _trust_region_step(*np.linalg.eigh(B), g, radius)
+        scale = np.abs(eigenvalues).max() * radius + np.linalg.norm(g)
+        assert np.linalg.norm(p) <= radius * (1.0 + 1e-12)   # to rounding
+        assert lam >= 0.0
+        np.testing.assert_allclose((B + lam * np.eye(10)) @ p, -g, rtol=0, atol=1e-8 * scale)
+        assert np.linalg.eigvalsh(B + lam * np.eye(10))[0] >= -1e-9 * np.abs(eigenvalues).max()
+        assert lam * (radius - np.linalg.norm(p)) <= 1e-9 * scale * radius
+
+
+def test_trust_region_step_inside_the_region_is_the_newton_step():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        B, _ = random_symmetric(rng, 10.0 ** rng.uniform(-2, 2, 10))
+        g = rng.normal(size=10)
+        newton = -np.linalg.solve(B, g)
+        p, lam = _trust_region_step(*np.linalg.eigh(B), g, 1.01 * np.linalg.norm(newton))
+        assert lam == 0.0
+        np.testing.assert_allclose(p, newton, rtol=1e-9, atol=1e-12 * np.linalg.norm(newton))
+
+
+def test_trust_region_step_exact_hard_case():
+    # g exactly orthogonal to the lowest eigenvector: the step is completed along it to the radius
+    w, V, g = np.array([-2.0, 1.0, 3.0]), np.eye(3), np.array([0.0, 1.0, 3.0])
+    p, lam = _trust_region_step(w, V, g, 5.0)
+    assert lam == 2.0
+    assert np.linalg.norm(p) == pytest.approx(5.0, rel=1e-12)
+    np.testing.assert_allclose(p[1:], [-1.0 / 3.0, -3.0 / 5.0], rtol=1e-12)
+
+
+def test_scheduled_visit_oracle_recovers_the_truth():
+    # on jm_g30_l005_regular a scheduled visit restarts the visit process, so the process gap it
+    # cuts short is censored; marked so, model A's visit submodel is the true one, and gamma-hat and
+    # sigma_u2-hat lie within 3 SE of their true values (ROADMAP item 10)
+    config = preset("jm_g30_l005_regular")
+    assert config.regular_interval == 1.0 and config.regular_resets_process
+    for rep in (1, 2, 3):
+        panel = simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(rep,)))
+        visit_ends = np.append(panel.t[1:], 0.5)   # the time each observed gap ends
+        scheduled = panel.observed & (visit_ends % config.regular_interval == 0.0)
+        assert 0.5 < np.mean(scheduled[panel.observed]) < 1.0
+        fit = fit_joint(dataclasses.replace(panel, observed=panel.observed & ~scheduled))
+        assert fit.converged
+        assert abs(fit.estimate("gamma") - config.gamma) < 3.0 * fit.se("gamma"), rep
+        assert abs(fit.estimate("sigma_u2") - config.sigma_u2) < 3.0 * fit.se("sigma_u2"), rep

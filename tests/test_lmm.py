@@ -2,6 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
 
 from panel_records import Record, panel_of, subjects_of
@@ -9,8 +10,8 @@ from visitsim import lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError
-from visitsim.lmm import (GRAD_TOL, Adjustment, _evaluate, _fit_result, _lmm_estimates, design_matrix,
-                          fit_lmm, lmm_loglik)
+from visitsim.lmm import (GRAD_TOL, LOG_RHO_BOUNDS, Adjustment, _brentq, _evaluate, _fit_result, _lmm_estimates,
+                          _Profile, design_matrix, fit_lmm, lmm_loglik)
 
 
 def preset(name):
@@ -277,3 +278,29 @@ class TestConvergenceRule:
         assert (fit.loglik, fit.iterations) == (-10.0, 3)
         # sqrt(diag(inv(info))) * jacobian, with inv(info) = [[2, -1], [-1, 4]] / 7
         np.testing.assert_allclose(fit.std_errors, [np.sqrt(2.0 / 7.0), 4.0 * np.sqrt(4.0 / 7.0)], rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_brent_port_finds_scipys_root_bit_for_bit(name):
+    # the profile's root of B, C and D on reps 1-5, and the calls of the slope it took
+    cfg = preset(name)
+    lo, hi = LOG_RHO_BOUNDS
+    for rep in range(1, 6):
+        panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
+        for adjustment in Adjustment:
+            profile = _Profile(design_matrix(panel, adjustment), panel)
+            if not profile.slope(lo) < 0.0 < profile.slope(hi):
+                continue
+            before = profile.evaluations
+            root = _brentq(profile.slope, lo, hi)
+            calls = profile.evaluations - before
+            assert root == scipy.optimize.brentq(profile.slope, lo, hi), (rep, adjustment)
+            assert profile.evaluations - before - calls == calls
+
+
+def test_brent_port_checks_its_input():
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: x if x < 0.5 else np.nan, -1.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert _brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import visitsim
 
 
@@ -42,3 +46,12 @@ def test_subject_and_joint_params_records_are_gone():
         assert name not in visitsim.__all__, name
         for namespace in (visitsim, visitsim.domain, visitsim.jointfit):
             assert not hasattr(namespace, name), (namespace.__name__, name)
+
+
+def test_cli_import_leaves_scipy_optimize_and_stats_out():
+    # only the diagnostics import scipy.stats, and no fit needs scipy.optimize
+    assert "scipy" not in vars(visitsim.jointfit) and "scipy" not in vars(visitsim.lmm)
+    code = "import sys, visitsim.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(visitsim.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
