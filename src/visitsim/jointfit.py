@@ -105,16 +105,13 @@ class _JointData:
         self.xtx = self.X.T @ self.X
         self.x1 = panel.group_sum(self.X)
         # for the two passes: the powers 0 to 4 of the nodes, one row each; each subject's
-        # (n, 1); J's constant entries, z and 1 in d log Lambda / d(beta, log lambda); the
-        # event terms of d c / d(beta, log lambda, log p); and the totals of sum_d_logt and n - 1
+        # (n, 1); J's constant entries, z and 1 in d log Lambda / d(beta, log lambda); and the
+        # event terms of d c / d(beta, log lambda, log p)
         self.x_powers = np.vander(self.nodes, 5, increasing=True).T.copy()
-        self.ones = np.ones(order)
         self.n_and_1 = np.column_stack([panel.counts, np.ones(panel.n_subjects)])
         self.J_template = np.zeros((panel.n_subjects, 3, 10))
         self.J_template[:, 1, 0], self.J_template[:, 1, 1] = panel.z, 1.0
         self.visit_score = np.array([self.events @ panel.z, np.sum(self.events), np.sum(self.events)])
-        self.total_d_logt = float(np.sum(self.sum_d_logt))
-        self.within_df = float(panel.n_rows - panel.n_subjects)
 
 
 def _find_modes(b, w, lam_eff):
@@ -134,18 +131,12 @@ def _find_modes(b, w, lam_eff):
 class _Point(NamedTuple):
     """The value pass's intermediates at one theta, which the derivative pass continues from."""
 
-    p: float
-    gamma: float
-    su2: float
-    sv2: float
-    se2: float
+    theta: np.ndarray
     tp: np.ndarray       # gaps**p, per row
     T_p: np.ndarray      # and its per-subject sums
     r0: np.ndarray       # outcome residuals at u = v = 0, per row
-    s: np.ndarray        # per subject: the sum of r0,
-    q: np.ndarray        # the sum of r0^2,
-    a: np.ndarray        # sigma_e2 + n * sigma_v2
-    between: np.ndarray  # and s^2 / n
+    s: np.ndarray        # per subject: the sum of r0
+    q: np.ndarray        # and of r0^2
     m: np.ndarray        # each subject's mode of h
     scale: np.ndarray    # and the rule's scale there
     lamU: np.ndarray     # Lambda * e^U at the nodes
@@ -193,11 +184,10 @@ def _value(theta: np.ndarray, data: _JointData):
         arg = quadratic @ data.x_powers[:3] + data.log_weights - lamU
         amax = np.max(arg, axis=1)
         ex = np.exp(arg - amax[:, None])
-        sumexp = ex @ data.ones
+        sumexp = np.sum(ex, axis=1)
         contrib = np.log(scale) + 0.5 * LOG_2PI + amax + np.log(sumexp)
         loglik = float(np.sum(contrib))
-    return loglik, contrib, _Point(p, gamma, su2, sv2, se2, tp, T_p, r0, s, q, a, between, m, scale, lamU, ex,
-                                   sumexp)
+    return loglik, contrib, _Point(theta, tp, T_p, r0, s, q, m, scale, lamU, ex, sumexp)
 
 
 def _derivatives(data: _JointData, pt: _Point, derivs: int):
@@ -211,10 +201,11 @@ def _derivatives(data: _JointData, pt: _Point, derivs: int):
     The moments come from those of the standardised node x = (U - m) / scale,
     whose posterior is centred near 0 with variance near 1.
     """
-    p, gamma, su2, sv2, se2 = pt.p, pt.gamma, pt.su2, pt.sv2, pt.se2
+    _, _, p, _, _, _, gamma, su2, sv2, se2 = _natural(pt.theta)
     panel = data.panel
-    n, s, g, between, scale = panel.counts, pt.s, 1.0 / pt.a, pt.between, pt.scale
-    x1 = data.x1
+    n, s, scale, x1 = panel.counts, pt.s, pt.scale, data.x1
+    g, between = 1.0 / (se2 + n * sv2), s * s / n
+    p_dlogt = p * np.sum(data.sum_d_logt)   # d c / d log p less its event term, summed over subjects
 
     with np.errstate(over="ignore", invalid="ignore"):
         # E[x^j] for j <= 4 and E[x^j L] for j <= 2, L = Lambda*e^U, one row per j
@@ -243,11 +234,11 @@ def _derivatives(data: _JointData, pt: _Point, derivs: int):
         # the score: sum J' E[phi] plus the sum of d c / d theta, summed over subjects in closed form
         sum_xr = data.X.T @ pt.r0 - x1.T @ (s / n)   # sum over subjects of X'(r0 - subject mean)
         grad = mb @ J[:, 0] + mw @ J[:, 2] - eL @ J[:, 1]
-        grad[:3] += data.visit_score + [0.0, 0.0, p * data.total_d_logt]
+        grad[:3] += data.visit_score + [0.0, 0.0, p_dlogt]
         grad[3:6] += sum_xr / se2 + x1.T @ (g * s / n)
         grad[7] -= len(n)
         grad[8:] -= g @ d + 0.5 * between @ dg
-        grad[9] += np.sum(pt.q - between) / se2 - data.within_df
+        grad[9] += np.sum(pt.q - between) / se2 - (panel.n_rows - len(n))
         if derivs < 2:
             return grad, None
 
@@ -260,7 +251,7 @@ def _derivatives(data: _JointData, pt: _Point, derivs: int):
         cov_Lw = scale * (mb * cov_xL + 0.5 * scale * (eLxx - 2.0 * x_1 * eLx + x_11 * eL - eL * var_x))
         cov_bw = -(mb * var_U + 0.5 * k3)
         cov_ww = mb * mb * var_U + mb * k3 + 0.25 * (k4 - var_U * var_U)
-        var_L = np.vecdot(exL, pt.lamU) / pt.sumexp - eL * eL
+        var_L = np.einsum("ij,ij->i", exL, pt.lamU) / pt.sumexp - eL * eL
         cov = np.column_stack([var_U, cov_bL, cov_bw, cov_bL, var_L, cov_Lw, cov_bw, cov_Lw, cov_ww])
         hess = J.reshape(-1, 10).T @ (cov.reshape(-1, 3, 3) @ J).reshape(-1, 10)
 
@@ -268,7 +259,7 @@ def _derivatives(data: _JointData, pt: _Point, derivs: int):
         # Lambda*e^U (d2 log Lambda + d log Lambda d log Lambda')
         hess[:3, :3] -= (eL[:, None] * jL).T @ jL
         hess[2, 2] -= (eL @ (dlogL_p * (1.0 - dlogL_p) + p * p * panel.group_sum(pt.tp * data.log_gaps**2) / pt.T_p)
-                       - p * data.total_d_logt)
+                       - p_dlogt)
         hess[3:6, 3:6] += (((1.0 / se2 - g) / n)[:, None] * x1).T @ x1 - data.xtx / se2
         hess[3:6, 6] -= x1.T @ (mb * g)
         hess[3:6, 8:] += x1.T @ ((s / n - gamma * mb)[:, None] * dg)
@@ -403,8 +394,8 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     fit stops when |score| < GRAD_TOL, after MAX_ITER iterations, or when the
     quadratic model predicts no gain within the rounding of the likelihood;
     ``iterations`` counts trust-region iterations and the message names the
-    stop.  A non-finite information at an accepted point raises
-    EstimationError.
+    stop.  A trial point with a non-finite likelihood or score is rejected; a
+    non-finite information where the score is finite raises EstimationError.
     """
     data = _JointData(panel, order)
     if panel.n_subjects < 2:
@@ -414,8 +405,10 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
                       "the visit submodel is weakly identified", stacklevel=2)
 
     def derivatives(pt):
-        """(score, information) of the negative log likelihood at an accepted point."""
+        """(score, information) of the negative log likelihood at ``pt``'s point; None, None for a non-finite score."""
         grad, hess = _derivatives(data, pt, 2)
+        if not np.all(np.isfinite(grad)):
+            return None, None
         if not np.all(np.isfinite(hess)):
             raise EstimationError("non-finite observed information")
         return -grad, -hess
@@ -425,8 +418,8 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     f, (g, B) = -ll, derivatives(pt)
     radius, iterations, eig = 1.0, 0, None
     reason = "score below tolerance"
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        f, g, reason = np.inf, np.zeros_like(g), "non-finite likelihood or score at the start"
+    if not np.isfinite(f) or g is None:
+        f, g, reason = np.inf, np.zeros(len(theta)), "non-finite likelihood or score at the start"
     while np.linalg.norm(g) >= GRAD_TOL:
         if iterations == MAX_ITER:
             reason = "iteration limit reached"
@@ -442,8 +435,9 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
         ll, _, pt = _value(theta + p, data)
         rho = (f + ll) / predicted if np.isfinite(ll) else -np.inf
         if rho > _ETA:
+            # a point whose score is not finite is rejected like one whose likelihood is not
             g_new, B_new = derivatives(pt)
-            if not np.all(np.isfinite(g_new)):
+            if g_new is None:
                 rho = -np.inf
         if rho < 0.25:
             radius = 0.25 * min(radius, np.sqrt(p @ p))

@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "ef26fd2099db57a97ec3092a15262cafe0ea4d79d5ef100ecfe1b91112ce7fda",
-    "gamma_psi2": "115658ec9cd31d3544a5d22fb0b88a6463b58418909933c6afd32ba1ecaf29f7",
-    "gamma_lagy": "5af3dbd1e892545a4bfe1dc2905133184c3dd35f8e5466786926c0b97952600d",
-    "jm_g0_l010": "0441053591bae694913c847cd3e9eabdeb84e9e034f90b8b3182d4f95e885407",
-    "jm_g0_l030": "cee3d8f73ecdf4c39f106aa6d6f881dedf31bc8b36a6bbe22a134d4c28525b55",
-    "jm_g0_l100": "a53f18892da4a19bae90dc631d0730ae1fbc0d2f51ac95ddde19e35a90f7d00b",
-    "jm_g15_l010": "9043e12d6a8fe5688238782323cd61387bf055079a7f5ff3836f1c7d7ce58719",
-    "jm_g15_l030": "003e0f651b8891067ea018812bac3133795dbe7c78688faef1e268f8edc33177",
-    "jm_g15_l100": "80990e732efd307b1d8c7925fbc13667d5c08e8c6f482582eac04f777eed98c2",
-    "jm_g30_l005_regular": "ab52d0d24aa351519189ea093757d106b52c5110a825a6c55e9a98fd579e6389",
+    "gamma_psi0": "2187a68b89289a37e6a1677dfc8cd2ee3ae1dea27d49081961326691eff06ab7",
+    "gamma_psi2": "73be973bcfaece8d5bba1249e68e981f9176b141e8ae7ce2c865f67cfb0690bf",
+    "gamma_lagy": "24cf64d520d9b34d983be3e44bc8ea2f91e1bf8396927a1ed7b7481fc806cd6a",
+    "jm_g0_l010": "68a6a880e83303f965d862af430c79d195d3c5eaae3bee7bec24cb87546aa359",
+    "jm_g0_l030": "c62d38c76a748401c00aa79e1fd38a77a500791a465175e4f878f80b7c21de2b",
+    "jm_g0_l100": "94a7c0b667ce4c63ee312351cebec451092025742696335fca0b08e2dc81d6af",
+    "jm_g15_l010": "b5a82c3faf752837d4b301c47bd958b61b13cf87e574e95bdcff7b8f6bb1f597",
+    "jm_g15_l030": "1c430cc8b2568f6977508fd1c1e523817405e46741fc04603747efb51165ec6f",
+    "jm_g15_l100": "b72ab1c430c7d1abe4b9a4e6c51026e3c0f973aadedeed206e8854fc14c6e795",
+    "jm_g30_l005_regular": "ee99069a03bd379d3c14c4dbcafa39bf843f66feac545d857c773246216606da",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,8 +64,8 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "278cf93d502f8c2b072637911859d4f74a3b3dff0dbd992b0ca43900444bba5a",
-    "loglik_A.csv": "69c3fdc2040c8e7dfc80ba97da16804086282a012c9bdeffcaf0ed89823948e8",
+    "fit_A.json": "6eda5ec14ecdfab8fc4f92ed6e0b091f1537d484cb900dced48d6fe121f2115e",
+    "loglik_A.csv": "83d10960f06f8db553a31245fa4ef1c0d3ad7200e3982ee8dcba67ea67de5fda",
     "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
 }
 

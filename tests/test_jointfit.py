@@ -333,6 +333,47 @@ def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, inf
     assert all(r.converged for r in rows if r.model == "D")
 
 
+def test_trial_point_with_a_non_finite_score_is_rejected(monkeypatch):
+    # the first point the likelihood accepts gets a NaN score and information, as where Lambda*e^U
+    # overflows at a node: the step is rejected, the next trial is a quarter of it or less from
+    # the same base, and the fit goes on to the same optimum
+    config = preset("jm_g15_l010")
+    panel = simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    clean = fit_joint(panel)
+    real_value, real_derivatives = jointfit._value, jointfit._derivatives
+    points, scored = [], []   # (theta, point) of every value pass; the points the derivative pass saw
+
+    def value(theta, data):
+        result = real_value(theta, data)
+        points.append((theta.copy(), result[2]))
+        return result
+
+    def derivatives(data, pt, derivs):
+        scored.append(pt)
+        grad, hess = real_derivatives(data, pt, derivs)
+        return (grad * np.nan, hess * np.nan) if len(scored) == 2 else (grad, hess)
+
+    monkeypatch.setattr(jointfit, "_value", value)
+    monkeypatch.setattr(jointfit, "_derivatives", derivatives)
+    fit = fit_joint(panel)
+    assert fit.converged
+    np.testing.assert_allclose(fit.estimates, clean.estimates, rtol=0, atol=1e-3 * clean.std_errors.min())
+    base = next(theta for theta, pt in points if pt is scored[0])
+    k = next(k for k, (_, pt) in enumerate(points) if pt is scored[1])
+    rejected, retried = points[k][0], points[k + 1][0]
+    assert np.linalg.norm(retried - base) <= 0.25 * np.linalg.norm(rejected - base) * (1.0 + 1e-12)
+
+
+def test_non_finite_score_at_the_start_is_a_failed_fit(monkeypatch):
+    real = jointfit._derivatives
+    monkeypatch.setattr(jointfit, "_derivatives",
+                        lambda data, pt, derivs: (np.full(10, np.nan), real(data, pt, derivs)[1]))
+    config = preset("jm_g15_l010")
+    fit = fit_joint(simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(1,))))
+    assert not fit.converged and fit.iterations == 0
+    assert fit.message.startswith("optimizer: non-finite likelihood or score at the start")
+
+
 def random_symmetric(rng, eigenvalues):
     """A symmetric matrix with the given eigenvalues and a random orthonormal eigenbasis, and that basis."""
     Q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
