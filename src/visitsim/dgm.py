@@ -14,10 +14,14 @@ Three families are supported:
 ``simulate_panel`` is the one entry point for all three: it appends each
 subject's visit times and outcomes to flat lists for the whole panel and
 hands the panel's columns to ``build_panel`` once.  Every subject gets an
-independent random substream derived by counter-based splitting from the
-scenario seed, so the generated panel is bit-identical regardless of
-evaluation order or worker count.  Within a subject the draw order is fixed
-and documented in ``_subject_draws``.
+independent Philox substream, the one ``SeedSequence.spawn`` gives it from
+the replication's seed, so the generated panel is bit-identical regardless
+of evaluation order or worker count.  A counter-based generator needs only a
+new key to start another stream (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011), so each panel hashes all its subjects' keys
+in one vectorised pass and re-keys one generator from subject to subject.
+Within a subject the draw order is fixed and documented in
+``_subject_draws``.
 """
 
 from __future__ import annotations
@@ -131,37 +135,81 @@ def draw_weibull_gap(u01, lam: float, p: float, linpred) -> float | np.ndarray:
         raise ValueError("u01 must lie strictly inside (0, 1)")
     if lam <= 0 or p <= 0:
         raise ValueError("lam and p must be > 0")
-    out = _weibull_gap(u01, lam * np.exp(linpred), 1.0 / p)
+    out = (-np.log(u01) / (lam * np.exp(linpred))) ** (1.0 / p)
     return float(out) if out.ndim == 0 else out
 
 
-def _weibull_gap(u01, scale, inv_p):
-    """``draw_weibull_gap`` without its checks, for ``scale = lam * exp(linpred)``, ``inv_p = 1 / p``."""
-    return (-np.log(u01) / scale) ** inv_p
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
-def _subject_rngs(seed, n: int) -> list[np.random.Generator]:
-    """One independent Philox substream per subject, split from ``seed``.
+def _n_words(x) -> int:
+    """How many uint32 words SeedSequence makes of ``x``, an int or a (nested) sequence of ints."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, (int(x).bit_length() + 31) // 32)
+    return sum(_n_words(v) for v in x)
+
+
+def _hashmix(values: np.ndarray, h: int, mult: int):
+    """SeedSequence's hash of the uint32 ``values`` under the constant ``h``; returns (hashed, next h)."""
+    out = values ^ np.uint32(h)
+    h = h * mult & _MASK32
+    out *= np.uint32(h)
+    return out ^ (out >> np.uint32(16)), h
+
+
+def _child_keys(seed: np.random.SeedSequence, n: int) -> np.ndarray:
+    """The Philox keys of ``seed``'s children 0 to n-1 (n <= 2**32), as an (n, 2) uint64 array.
+
+    Child i is ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
+    pool_size=seed.pool_size)``, and ``Philox(child)`` is keyed with
+    ``child.generate_state(2, np.uint64)``.  The child's entropy words are
+    seed's, zero-padded to the pool size, and then the word i.  Mixed up to
+    that last word, its pool is ``seed.pool``, because SeedSequence fills a
+    short pool with hashes of 0, as zero padding does.  The word i is then
+    mixed into each pool word, after pool_size hash steps per earlier word,
+    and generate_state reads the first four pool words.  Both steps run here
+    on all n children at once.
+    """
+    size = seed.pool_size
+    words = max(_n_words(seed.entropy), size) + _n_words(seed.spawn_key)
+    h = _INIT_A * pow(_MULT_A, size * words, 1 << 32) & _MASK32
+    index = np.arange(n, dtype=np.uint32)
+    state = []
+    for word in seed.pool[:4]:  # mix(word, hashmix(i))
+        hashed, h = _hashmix(index, h, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * int(word) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        state.append(mixed ^ (mixed >> np.uint32(16)))
+    h = _INIT_B
+    for j in range(4):  # generate_state(2, np.uint64): four uint32 words, paired little-endian
+        state[j], h = _hashmix(state[j], h, _MULT_B)
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _subject_rngs(seed, n: int):
+    """Yield one independent Philox substream per subject, split from ``seed``.
 
     ``seed`` is either an integer or a SeedSequence (the study harness passes
     per-replication SeedSequences so that (replication, subject) indexes the
-    substream).  Subject i gets the child ``seed.spawn`` would give a fresh
-    sequence, built without advancing ``seed``, so reusing a SeedSequence
-    reproduces the panel.
+    substream).  Subject i gets the stream of ``Generator(Philox(child))``
+    for the child ``seed.spawn`` would give a fresh sequence, without
+    advancing ``seed``, so reusing a SeedSequence reproduces the panel.  One
+    Generator serves every subject: it is re-keyed to the next subject's key
+    with a zero counter, as ``Philox(child)`` starts.  So each yielded stream
+    is valid only until the next one is yielded; draw from it before then.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
-    children = (np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,), pool_size=seed.pool_size)
-                for i in range(n))
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
-
-
-def _u01_open(rng: np.random.Generator) -> float:
-    # rng.random() covers [0, 1); reject an exact 0 to stay in the open interval
-    while True:
-        u = rng.random()
-        if u > 0.0:
-            return u
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in _child_keys(seed, n):
+        bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _subject_draws(rng: np.random.Generator, config: ScenarioConfig):
@@ -171,77 +219,77 @@ def _subject_draws(rng: np.random.Generator, config: ScenarioConfig):
     number of visits a subject ends up with can never shift the draws of
     another quantity.
     """
-    z = 1 if rng.random() < 0.5 else 0
-    if config.family is Family.JOINT_MODEL:
-        proc = rng.normal(0.0, math.sqrt(config.sigma_u2))
-    else:
-        proc = rng.normal(0.0, math.sqrt(config.sigma_xi2))
-    v = rng.normal(0.0, math.sqrt(config.sigma_v2))
-    c = rng.uniform(config.censoring_lower, config.censoring_upper)
+    random, standard_normal = rng.random, rng.standard_normal
+    z = 1 if random() < 0.5 else 0
+    proc_var = config.sigma_u2 if config.family is Family.JOINT_MODEL else config.sigma_xi2
+    # numpy draws rng.normal(0, s) as 0 + s * standard_normal() and rng.uniform(a, b)
+    # as a + (b - a) * random(): the same bits, at half the cost of a call with arguments
+    proc = 0.0 + math.sqrt(proc_var) * standard_normal()
+    v = 0.0 + math.sqrt(config.sigma_v2) * standard_normal()
+    c = config.censoring_lower + (config.censoring_upper - config.censoring_lower) * random()
     return z, proc, v, c
 
 
-def _outcome(config: ScenarioConfig, z: int, t: float, u_term: float, v: float, eps: float) -> float:
-    return config.alpha0 + z * config.alpha1 + t * config.alpha2 + u_term + v + eps
-
-
 def _simulate_joint_subject(rng: np.random.Generator, config: ScenarioConfig, times, ys) -> tuple[int, float]:
-    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C)."""
+    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C).
+
+    Visit k's outcome is alpha0 + z alpha1 + t alpha2 + gamma u + v + eps,
+    added in that order; its noise eps is drawn before the gap to the next visit.
+    """
     z, u, v, c = _subject_draws(rng, config)
+    random, standard_normal, log, floor = rng.random, rng.standard_normal, np.log, math.floor
     sig_e = math.sqrt(config.sigma_e2)
-    u_term = config.gamma * u
+    base, alpha2, u_term = config.alpha0 + z * config.alpha1, config.alpha2, config.gamma * u
     scale = config.weibull_scale * np.exp(config.beta * z + u)
     inv_p = 1.0 / config.weibull_shape
-
-    times.append(0.0)
-    ys.append(_outcome(config, z, 0.0, u_term, v, rng.normal(0.0, sig_e)))
-    interval = config.regular_interval
+    regular, resets, interval = config.regular_visits, config.regular_resets_process, config.regular_interval
     t = 0.0
     pending: float | None = None  # absolute time of the pending process visit (additive mode)
     while True:
+        times.append(t)
+        ys.append(base + t * alpha2 + u_term + v + (0.0 + sig_e * standard_normal()))  # rng.normal(0, sig_e)
         if pending is None:
+            u01 = random()
+            while u01 == 0.0:  # random() covers [0, 1): reject an exact 0 to stay in (0, 1)
+                u01 = random()
             # numpy scalars, not math: math.log/exp and float ** round differently,
             # and the panel must keep draw_weibull_gap's bits
-            pending = t + float(_weibull_gap(_u01_open(rng), scale, inv_p))
+            pending = t + float((-log(u01) / scale) ** inv_p)
         t_next = pending
-        if config.regular_visits:
+        if regular:
             # next scheduled time strictly after the current visit
-            k = math.floor(t / interval + 1e-12) + 1
-            sched = k * interval
+            sched = (floor(t / interval + 1e-12) + 1) * interval
             if sched < t_next:
                 t_next = sched
         if t_next >= c or t_next <= t:
-            break  # censored, or a gap too small to advance the clock
-        if config.regular_visits and t_next < pending and config.regular_resets_process:
+            return z, c  # censored, or a gap too small to advance the clock
+        if regular and t_next < pending and resets:
             pending = None  # scheduled visit fired: discard the pending draw, clock restarts
         elif t_next == pending:
             pending = None  # process visit fired: next gap drawn from the new clock
         t = t_next
-        times.append(t)
-        ys.append(_outcome(config, z, t, u_term, v, rng.normal(0.0, sig_e)))
-    return z, c
 
 
 def _simulate_gamma_subject(rng: np.random.Generator, config: ScenarioConfig, times, ys) -> tuple[int, float]:
-    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C)."""
-    z, xi, v, c = _subject_draws(rng, config)
-    sig_e = math.sqrt(config.sigma_e2)
-    lagged = config.family is Family.GAMMA_TREATMENT_LAGGED_Y
+    """Append one subject's visit times and outcomes to ``times`` and ``ys``; return its (z, C).
 
-    times.append(0.0)
-    ys.append(_outcome(config, z, 0.0, 0.0, v, rng.normal(0.0, sig_e)))
+    The outcome is that of ``_simulate_joint_subject`` with gamma u = 0.
+    """
+    z, xi, v, c = _subject_draws(rng, config)
+    standard_normal, gamma, exp = rng.standard_normal, rng.gamma, math.exp
+    sig_e = math.sqrt(config.sigma_e2)
+    base, alpha2, u_term = config.alpha0 + z * config.alpha1, config.alpha2, 0.0
+    shape, log_scale0 = config.gamma_shape, -config.psi * config.beta * z + xi
+    omega = config.omega if config.family is Family.GAMMA_TREATMENT_LAGGED_Y else None
     t = 0.0
     while True:
-        log_scale = -config.psi * config.beta * z + xi
-        if lagged:
-            log_scale += config.omega * ys[-1]
-        t_next = t + rng.gamma(config.gamma_shape, math.exp(log_scale))
-        if t_next >= c or t_next <= t:
-            break  # censored, or a gap too small to advance the clock
-        t = t_next
         times.append(t)
-        ys.append(_outcome(config, z, t, 0.0, v, rng.normal(0.0, sig_e)))
-    return z, c
+        y = base + t * alpha2 + u_term + v + (0.0 + sig_e * standard_normal())
+        ys.append(y)
+        t_next = t + gamma(shape, exp(log_scale0 if omega is None else log_scale0 + omega * y))
+        if t_next >= c or t_next <= t:
+            return z, c  # censored, or a gap too small to advance the clock
+        t = t_next
 
 
 def simulate_panel(config: ScenarioConfig, seed) -> PanelDataset:

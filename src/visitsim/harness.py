@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import os
 import warnings
@@ -23,7 +24,7 @@ from .domain import MODEL_LABELS, FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import fit_joint, gauss_hermite
-from .lmm import Adjustment, fit_lmm
+from .lmm import Adjustment, _lmm_estimates, fit_lmm
 from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
 ESTIMATES_CSV_COLUMNS = ("scenario", "rep", "model", "param", "est", "se", "converged")
@@ -131,18 +132,20 @@ class EstimatesTable:
         return cls(rows)
 
 
-def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
+def fit_model(panel: PanelDataset, label: str, gh_order: int = 25, *, _d_estimates=None) -> FitResult:
     """Dispatch a panel to the estimator for one of the five model labels.
 
     ``gh_order`` is the quadrature order of model A; the other models ignore it.
+    ``_d_estimates``, if given, is a call that returns model D's point
+    estimates on ``panel``, for models A (its start) and D to share.
     """
     if label not in MODEL_LABELS:
         raise ValidationError(f"unknown model label {label!r}")
     if label == "A":
-        return fit_joint(panel, gh_order)
+        return fit_joint(panel, gh_order, _d_estimates=_d_estimates)
     if label == "E":
         return fit_iivw(panel)
-    return fit_lmm(panel, Adjustment(label))
+    return fit_lmm(panel, Adjustment(label), _estimates=_d_estimates if label == "D" else None)
 
 
 def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
@@ -152,12 +155,18 @@ def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
         # a panel that could not be simulated: every model of this replication is not converged
         panel = None
     tag = study.scenario.label
+    d_estimates = None
+    if panel is not None and "A" in study.models and "D" in study.models:
+        # model D's point estimates, also model A's start: computed once, unless they raise,
+        # and then each fit raises as it would on its own
+        d_estimates = functools.cache(functools.partial(_lmm_estimates, panel, Adjustment.NONE))
     rows = []
     for label in study.models:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = None if panel is None else fit_model(panel, label, study.gh_order)
+                fit = None if panel is None else fit_model(panel, label, study.gh_order,
+                                                           _d_estimates=d_estimates)
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study
@@ -173,13 +182,20 @@ def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
     return rows
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_study(study: StudyConfig) -> EstimatesTable:
     """Simulate and fit K replications; failures are recorded, never fatal.
 
     Deterministic given the scenario's seed: rows are emitted in replication
     order regardless of how the worker pool schedules them.
     """
-    threads = study.threads or os.cpu_count() or 1
+    threads = study.threads or _available_cpus()
     reps = range(1, study.replications + 1)
     if threads == 1:
         results = [_replication_rows(study, k) for k in reps]

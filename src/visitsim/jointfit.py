@@ -320,10 +320,10 @@ def recurrent_frailty_loglik(params, panel: PanelDataset, order: int = 25) -> fl
     return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel)
 
 
-def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
+def _starting_theta(panel: PanelDataset, data: _JointData, d_estimates=None) -> np.ndarray:
     try:
         # model D's point estimates; its likelihood and standard errors are not needed here
-        theta, *_ = _lmm_estimates(panel, Adjustment.NONE)
+        theta, *_ = _lmm_estimates(panel, Adjustment.NONE) if d_estimates is None else d_estimates()
         a0, a1, a2 = theta[:3]
         sv2 = max(float(np.exp(2.0 * theta[3])), 1e-4)
         se2 = max(float(np.exp(2.0 * theta[4])), 1e-4)
@@ -379,7 +379,7 @@ def _trust_region_step(w: np.ndarray, V: np.ndarray, g: np.ndarray, radius: floa
     return -(V @ p), mu - w[0]
 
 
-def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
+def fit_joint(panel: PanelDataset, order: int = 25, *, _d_estimates=None) -> FitResult:
     """Maximum likelihood fit of the joint model (model A) with an ``order``-node rule.
 
     A trust-region Newton method on the exact observed information, from
@@ -396,6 +396,8 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     ``iterations`` counts trust-region iterations and the message names the
     stop.  A trial point with a non-finite likelihood or score is rejected; a
     non-finite information where the score is finite raises EstimationError.
+    ``_d_estimates``, if given, is a call that returns model D's
+    ``_lmm_estimates``, for a caller that fits model D to the same panel.
     """
     data = _JointData(panel, order)
     if panel.n_subjects < 2:
@@ -413,7 +415,7 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
             raise EstimationError("non-finite observed information")
         return -grad, -hess
 
-    theta = _starting_theta(panel, data)
+    theta = _starting_theta(panel, data, _d_estimates)
     ll, _, pt = _value(theta, data)
     f, (g, B) = -ll, derivatives(pt)
     radius, iterations, eig = 1.0, 0, None

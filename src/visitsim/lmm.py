@@ -150,7 +150,7 @@ def _brentq(f, xa: float, xb: float) -> float:
     tolerances, so it returns the same root to the bit after the same calls of
     ``f``.  The bracket keeps ``xa``'s sign at one end and ``xb``'s at the other.
     A NaN value of ``f`` or a bracket whose ends have the same sign raises
-    ValueError; no convergence in _BRENT_MAX_ITER steps raises RuntimeError.
+    ValueError; no convergence in _BRENT_MAX_ITER steps raises EstimationError.
     """
     def value(x):
         fx = f(x)
@@ -194,7 +194,7 @@ def _brentq(f, xa: float, xb: float) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {_BRENT_MAX_ITER} iterations, value is {xcur}")
+    raise EstimationError(f"no convergence after {_BRENT_MAX_ITER} iterations, value is {xcur}")
 
 
 class _Profile:
@@ -300,7 +300,7 @@ def _lmm_estimates(panel: PanelDataset, adjustment: Adjustment):
     return theta, X, profile.evaluations
 
 
-def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE) -> FitResult:
+def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE, *, _estimates=None) -> FitResult:
     """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
 
     log(sigma_v2 / sigma_e2) is the root of the profiled deviance's slope,
@@ -309,8 +309,10 @@ def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE) -> Fi
     Standard errors come from the inverse of the closed-form observed
     information in (alpha, log sigma_v, log sigma_e), mapped to the reported
     sigma^2 by the delta method.  ``iterations`` counts profile evaluations.
+    ``_estimates``, if given, is a call that returns
+    ``_lmm_estimates(panel, adjustment)``, for a caller that shares it.
     """
-    theta, X, evaluations = _lmm_estimates(panel, adjustment)
+    theta, X, evaluations = _lmm_estimates(panel, adjustment) if _estimates is None else _estimates()
     fval, grad, info = _evaluate(theta, X, panel, 2)
     k = X.shape[1]
     sigma_v2, sigma_e2 = np.exp(2.0 * theta[k:])

@@ -168,11 +168,11 @@ class TestRunStudyCommand:
         real_fit_model = harness.fit_model
         calls = []
 
-        def fit_model(panel, label, gh_order=25):
+        def fit_model(panel, label, gh_order=25, **shared):
             calls.append(label)
             if calls.count("D") == 1 and label == "D":  # threads=1: replication 1
                 raise EstimationError("no convergence")
-            return real_fit_model(panel, label, gh_order)
+            return real_fit_model(panel, label, gh_order, **shared)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
         out_dir = tmp_path / "study"

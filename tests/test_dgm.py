@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panel_records import subjects_of
-from visitsim.dgm import (Family, ScenarioConfig, _subject_draws, _subject_rngs, draw_weibull_gap,
+from visitsim.dgm import (Family, ScenarioConfig, _child_keys, _subject_draws, _subject_rngs, draw_weibull_gap,
                           parse_scenario_text, simulate_panel)
 from visitsim.errors import ConfigError
 
@@ -265,6 +267,19 @@ class TestSeedSequences:
         spawned = [np.random.Generator(np.random.Philox(child)).random(4)
                    for child in np.random.SeedSequence(8, spawn_key=(3,)).spawn(6)]
         np.testing.assert_array_equal(ours, spawned)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entropy=st.one_of(st.integers(0, 2**256), st.lists(st.integers(0, 2**64), max_size=12)),
+           spawn_key=st.lists(st.integers(0, 2**64), max_size=4).map(tuple),
+           pool_size=st.integers(4, 8), n=st.integers(1, 300))
+    def test_child_keys_equal_seed_sequence_bit_for_bit(self, entropy, spawn_key, pool_size, n):
+        # the vectorised key pass against numpy's own SeedSequence, child by child
+        seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        expected = [np.random.SeedSequence(entropy, spawn_key=spawn_key + (i,), pool_size=pool_size)
+                    .generate_state(2, np.uint64) for i in range(n)]
+        keys = _child_keys(seed, n)
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, expected)
 
 
 class TestDispatch:

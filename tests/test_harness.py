@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from panel_records import Record, panel_of
-from visitsim import harness
+from visitsim import harness, jointfit, lmm
 from visitsim.dgm import ScenarioConfig, simulate_panel
+from visitsim.domain import MODEL_LABELS
 from visitsim.errors import ValidationError
 from visitsim.harness import (PERFORMANCE_CSV_COLUMNS, EstimateRow, EstimatesTable, StudyConfig,
                               describe_datasets, diagnose_informativeness, run_study, summarize)
@@ -85,11 +86,11 @@ class TestRunStudy:
         real_fit_model = harness.fit_model
         calls = []
 
-        def fit_model(panel, label, gh_order=25):
+        def fit_model(panel, label, gh_order=25, **shared):
             calls.append(label)
             if len(calls) == 4:  # threads=1: replication 2, model E
                 raise error
-            return real_fit_model(panel, label, gh_order)
+            return real_fit_model(panel, label, gh_order, **shared)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
         lines = run_study(study).to_csv_text().splitlines()
@@ -127,6 +128,47 @@ class TestRunStudy:
                 assert got == ",".join(want.split(",")[:4]) + ",,,0"
             else:
                 assert got == want
+
+    def test_failed_root_search_recorded_not_fatal(self, monkeypatch):
+        # Brent's method stopped after one step: every B and D fit fails, the study does not
+        monkeypatch.setattr(lmm, "_BRENT_MAX_ITER", 1)
+        table = run_study(small_study(models=("B", "D"), reps=2))
+        assert len(table) == 2 * (6 + 5)
+        assert not any(r.converged for r in table)
+
+    def test_models_a_and_d_share_model_d_estimates(self, monkeypatch):
+        real = lmm._lmm_estimates
+        fitted = []
+
+        def counted(panel, adjustment):
+            fitted.append(adjustment.value)
+            return real(panel, adjustment)
+
+        for module in (lmm, jointfit, harness):
+            monkeypatch.setattr(module, "_lmm_estimates", counted)
+        rows = harness._replication_rows(small_study(models=MODEL_LABELS), 1)
+        # B, C and one D for both A's start and D: four before they were shared
+        assert sorted(fitted) == ["B", "C", "D"]
+        # the same rows as each model fitted in a replication of its own
+        assert rows == [row for label in MODEL_LABELS
+                        for row in harness._replication_rows(small_study(models=(label,)), 1)]
+
+    @pytest.mark.parametrize("affinity, cpu_count", [({0}, 8), (None, 1)],
+                             ids=["affinity of one CPU", "no affinity, one CPU"])
+    def test_default_workers_follow_available_cpus(self, monkeypatch, affinity, cpu_count):
+        if affinity is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for one available CPU")
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        study = StudyConfig(scenario=small_study().scenario, models=("D",), replications=2)
+        assert study.threads is None
+        assert len(run_study(study)) == 2 * 5
 
     @pytest.mark.parametrize("row, message", [
         ("s,1,D,alpha1", "expected 7 fields, got 4"),
