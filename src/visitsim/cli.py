@@ -146,7 +146,7 @@ def _cmd_run_study(args) -> int:
     _write_manifest(args.out_dir, "run-study", sha, config, config.seed, [est_path, perf_path],
                     extra={"models": list(models), "replications": reps,
                            "truths": truths})
-    n_conv = sum(1 for r in table if r.converged)
+    n_conv = int(table.converged.sum())
     print(f"{config.label}: {reps} replications x {len(models)} models -> {est_path}, {perf_path} "
           f"({n_conv}/{len(table)} parameter rows from converged fits)")
     return EXIT_OK

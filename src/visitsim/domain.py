@@ -273,18 +273,3 @@ class FitResult:
 
     def write_json(self, path) -> None:
         write_atomic(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FitResult":
-        names = tuple(data["params"].keys())
-        est = [data["params"][n]["est"] for n in names]
-        se = [data["params"][n]["se"] for n in names]
-        return cls(
-            model_label=data["model"],
-            param_names=names,
-            estimates=np.array(est, dtype=float),
-            std_errors=np.array(se, dtype=float),
-            loglik=data.get("loglik"),
-            converged=bool(data["converged"]),
-            iterations=int(data.get("iterations", 0)),
-        )

@@ -9,6 +9,7 @@ of worker processes and still produce byte-identical output tables.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import io
@@ -58,46 +59,39 @@ class StudyConfig:
         models = tuple(self.models)
         if not models:
             raise ValidationError("a study needs at least one model")
-        unknown = [m for m in models if m not in MODEL_LABELS]
-        if unknown:
-            raise ValidationError(f"unknown model label(s): {unknown}")
+        if not set(models) <= set(MODEL_LABELS) or len(set(models)) < len(models):
+            raise ValidationError(f"models must be distinct labels of {', '.join(MODEL_LABELS)}, got {list(models)}")
         object.__setattr__(self, "models", models)
 
 
-@dataclass(frozen=True)
-class EstimateRow:
-    scenario: str
-    rep: int
-    model: str
-    param: str
-    est: float | None
-    se: float | None
-    converged: bool
-
-
 class EstimatesTable:
-    """Long-format (scenario, rep, model, param) -> (est, se, converged) records."""
+    """A study's estimates as equal-length columns, one entry per (rep, model, param).
 
-    def __init__(self, rows):
-        self.rows = list(rows)
+    ``scenario`` is the study's one label; ``est`` and ``se`` are NaN where
+    the fit did not converge.
+    """
+
+    def __init__(self, scenario: str, rep, model, param, est, se, converged):
+        self.scenario = scenario
+        self.rep = np.asarray(rep, dtype=np.int64)
+        self.model = np.asarray(model, dtype=str)
+        self.param = np.asarray(param, dtype=str)
+        self.est = np.asarray(est, dtype=float)
+        self.se = np.asarray(se, dtype=float)
+        self.converged = np.asarray(converged, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+        return len(self.rep)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(ESTIMATES_CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow([
-                r.scenario, r.rep, r.model, r.param,
-                "" if r.est is None else repr(float(r.est)),
-                "" if r.se is None else repr(float(r.se)),
-                int(r.converged),
-            ])
+        for rep, model, param, est, se, conv in zip(self.rep.tolist(), self.model.tolist(),
+                                                   self.param.tolist(), self.est.tolist(),
+                                                   self.se.tolist(), self.converged.tolist()):
+            w.writerow([self.scenario, rep, model, param, repr(est) if conv else "",
+                        repr(se) if conv else "", int(conv)])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -105,31 +99,35 @@ class EstimatesTable:
 
     @classmethod
     def read_csv(cls, path) -> "EstimatesTable":
-        rows = []
+        """Read one study's ``estimates.csv``; a malformed line raises ValidationError naming it."""
+        columns, first_line = ([], [], [], [], [], [], []), {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != ESTIMATES_CSV_COLUMNS:
+            if tuple(next(reader, ())) != ESTIMATES_CSV_COLUMNS:
                 raise ValidationError(f"{path}: expected header {','.join(ESTIMATES_CSV_COLUMNS)}")
             for lineno, line in enumerate(reader, start=2):
                 if not line:
                     continue
-                if len(line) != len(ESTIMATES_CSV_COLUMNS):
-                    raise ValidationError(f"{path}:{lineno}: expected {len(ESTIMATES_CSV_COLUMNS)} "
-                                          f"fields, got {len(line)}")
                 try:
-                    rows.append(EstimateRow(
-                        scenario=line[0],
-                        rep=int(line[1]),
-                        model=line[2],
-                        param=line[3],
-                        est=float(line[4]) if line[4] else None,
-                        se=float(line[5]) if line[5] else None,
-                        converged=bool(int(line[6])),
-                    ))
+                    if len(line) != len(ESTIMATES_CSV_COLUMNS):
+                        raise ValueError(f"expected {len(ESTIMATES_CSV_COLUMNS)} fields, got {len(line)}")
+                    tag, rep, model, param, est, se, conv = line
+                    rep, conv = int(rep), bool(int(conv))
+                    if (est != "", se != "") != (conv, conv):
+                        raise ValueError("est and se must both be given where converged is 1 "
+                                         "and both be empty where it is 0")
+                    est, se = (float(est), float(se)) if conv else (np.nan, np.nan)
+                    if columns[0] and tag != columns[0][0]:
+                        raise ValueError(f"scenario {tag!r} differs from {columns[0][0]!r}; "
+                                         f"a file holds one study")
+                    if first_line.setdefault((rep, model, param), lineno) != lineno:
+                        raise ValueError(f"rep {rep}, model {model}, param {param} repeats line "
+                                         f"{first_line[rep, model, param]}")
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        return cls(rows)
+                for column, value in zip(columns, (tag, rep, model, param, est, se, conv)):
+                    column.append(value)
+        return cls(columns[0][0] if columns[0] else "", *columns[1:])
 
 
 def fit_model(panel: PanelDataset, label: str, gh_order: int = 25, *, _d_estimates=None) -> FitResult:
@@ -148,38 +146,28 @@ def fit_model(panel: PanelDataset, label: str, gh_order: int = 25, *, _d_estimat
     return fit_lmm(panel, Adjustment(label), _estimates=_d_estimates if label == "D" else None)
 
 
-def _replication_rows(study: StudyConfig, rep: int) -> list[EstimateRow]:
+def _replication(study: StudyConfig, rep: int) -> list[FitResult | None]:
+    """Replication ``rep``'s fits in ``study.models`` order; None where a fit or the simulation raised."""
     try:
         panel = simulate_panel(study.scenario, np.random.SeedSequence(study.scenario.seed, spawn_key=(rep,)))
     except (ValidationError, ValueError, ArithmeticError):
-        # a panel that could not be simulated: every model of this replication is not converged
-        panel = None
-    tag = study.scenario.label
+        return [None] * len(study.models)
     d_estimates = None
-    if panel is not None and "A" in study.models and "D" in study.models:
+    if "A" in study.models and "D" in study.models:
         # model D's point estimates, also model A's start: computed once, unless they raise,
         # and then each fit raises as it would on its own
         d_estimates = functools.cache(functools.partial(_lmm_estimates, panel, Adjustment.NONE))
-    rows = []
+    fits = []
     for label in study.models:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = None if panel is None else fit_model(panel, label, study.gh_order,
-                                                           _d_estimates=d_estimates)
+                fits.append(fit_model(panel, label, study.gh_order, _d_estimates=d_estimates))
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study
-            fit = None
-        names = _MODEL_PARAMS[label]
-        if fit is not None and fit.converged:
-            for name in names:
-                est, se = fit.estimate(name), fit.se(name)
-                rows.append(EstimateRow(tag, rep, label, name, est, se, True))
-        else:
-            for name in names:
-                rows.append(EstimateRow(tag, rep, label, name, None, None, False))
-    return rows
+            fits.append(None)
+    return fits
 
 
 def _available_cpus() -> int:
@@ -192,21 +180,27 @@ def _available_cpus() -> int:
 def run_study(study: StudyConfig) -> EstimatesTable:
     """Simulate and fit K replications; failures are recorded, never fatal.
 
-    Deterministic given the scenario's seed: rows are emitted in replication
-    order regardless of how the worker pool schedules them.
+    Fits are read in replication order, however the worker pool schedules
+    them, so the table is deterministic given the scenario's seed.
     """
     threads = study.threads or _available_cpus()
-    reps = range(1, study.replications + 1)
-    if threads == 1:
-        results = [_replication_rows(study, k) for k in reps]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replication_rows, [study] * study.replications, reps,
-                                    chunksize=max(1, study.replications // (8 * threads))))
-    rows: list[EstimateRow] = []
-    for chunk in results:
-        rows.extend(chunk)
-    return EstimatesTable(rows)
+    k = study.replications
+    names = np.array([(label, name) for label in study.models for name in _MODEL_PARAMS[label]])
+    cols = {label: names[:, 0] == label for label in study.models}
+    est, se = np.full((2, k, len(names)), np.nan)
+    converged = np.zeros((k, len(names)), dtype=bool)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if threads > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=threads))
+            mapper = functools.partial(pool.map, chunksize=max(1, k // (8 * threads)))
+        for row, fits in enumerate(mapper(_replication, [study] * k, range(1, k + 1))):
+            for label, fit in zip(study.models, fits):
+                if fit is not None and fit.converged:
+                    at = (row, cols[label])
+                    est[at], se[at], converged[at] = fit.estimates, fit.std_errors, True
+    return EstimatesTable(study.scenario.label, np.repeat(np.arange(1, k + 1), len(names)),
+                          *np.tile(names.T, k), est.ravel(), se.ravel(), converged.ravel())
 
 
 # --- performance measures ----------------------------------------------------
@@ -267,21 +261,18 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float]) -> Performanc
     parameter) with fewer than 2 of them keeps its row, with NaN measures and
     its ``conv_rate``, and raises a RuntimeWarning.
     """
-    groups: dict[tuple[str, str, str], list[EstimateRow]] = {}
-    for row in estimates:
-        if row.param in truths:
-            groups.setdefault((row.scenario, row.model, row.param), []).append(row)
-
+    # canonical replication order so aggregation is exactly permutation-invariant
+    order = np.argsort(estimates.rep, kind="stable")
+    models, params = estimates.model[order], estimates.param[order]
+    scenario = estimates.scenario
     out = []
-    for key in sorted(groups):
-        scenario, model, param = key
-        rows = groups[key]
+    for model, param in sorted(set(zip(models.tolist(), params.tolist()))):
+        if param not in truths:
+            continue
         truth = truths[param]
-        # canonical replication order so aggregation is exactly permutation-invariant
-        rows = sorted(rows, key=lambda r: r.rep)
-        done = [r for r in rows if r.converged and r.est is not None]
-        k_all = len(rows)
-        k = len(done)
+        group = order[(models == model) & (params == param)]
+        done = group[estimates.converged[group]]
+        k_all, k = len(group), len(done)
         if k < 2:
             warnings.warn(f"{scenario}: {k} of {k_all} replications converged for model {model}, "
                           f"parameter {param}; its performance measures are NaN",
@@ -289,8 +280,7 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float]) -> Performanc
             out.append(PerformanceRow(scenario, model, param, float(truth), *[float("nan")] * 9,
                                       conv_rate=k / k_all))
             continue
-        est = np.array([r.est for r in done])
-        se = np.array([r.se for r in done])
+        est, se = estimates.est[done], estimates.se[done]
         bias = float(est.mean() - truth)
         emp_se = float(est.std(ddof=1))
         sq_err = (est - truth) ** 2
@@ -382,6 +372,17 @@ class InformativenessDiagnostics:
     ag_converged: bool
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x``, each tie at the mean of its ranks (``scipy.stats.rankdata``'s default)."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(ranks: np.ndarray, x: np.ndarray) -> float:
+    """Spearman's rho of ``ranks`` and ``x``, bit for bit as scipy.stats.spearmanr (its [1, 0] entry)."""
+    return float(np.corrcoef(np.column_stack((ranks, _midranks(x))), rowvar=False)[1, 0])
+
+
 def diagnose_informativeness(panel: PanelDataset, covariate="z",
                              n_permutations: int = 999, seed: int = 0) -> InformativenessDiagnostics:
     """Spearman correlation (permutation p-value) and AG hazard ratio for a covariate.
@@ -391,8 +392,6 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
     shuffles the covariate at the subject level, which respects the
     within-subject correlation of gap times.
     """
-    import scipy.stats  # here, not at module level: it is slow to import and no study needs it
-
     if panel.n_subjects < 2:
         raise ValidationError("diagnostics need at least 2 subjects")
     if n_permutations < 0:
@@ -409,23 +408,19 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
         raise EstimationError("no observed gaps")
     gaps = panel.gaps[panel.observed]
     covs = np.repeat(values, panel.counts)[panel.observed]
-    subj = np.repeat(panel.ids, panel.counts)[panel.observed]
 
     if np.all(covs == covs[0]):
         return InformativenessDiagnostics(name, False, len(gaps), float("nan"), float("nan"),
                                           float("nan"), (float("nan"), float("nan")), False)
 
-    rho = float(scipy.stats.spearmanr(gaps, covs).statistic)
+    gap_ranks = _midranks(gaps)
+    rho = _spearman(gap_ranks, covs)
     rng = np.random.default_rng(seed)
+    # the covariate is permuted over the subjects in id order, and each gap reads its subject's value
     order = np.argsort(panel.ids)
-    ids, vals = panel.ids[order], values[order]
-    idx = np.searchsorted(ids, subj)
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(vals)
-        r = scipy.stats.spearmanr(gaps, perm[idx]).statistic
-        if abs(r) >= abs(rho) - 1e-12:
-            hits += 1
+    idx = np.repeat(np.argsort(order), panel.counts)[panel.observed]
+    hits = int(sum(abs(_spearman(gap_ranks, rng.permutation(values[order])[idx])) >= abs(rho) - 1e-12
+                   for _ in range(n_permutations)))
     pvalue = (hits + 1.0) / (n_permutations + 1.0)
 
     data = _CoxData.from_panel(panel, values)

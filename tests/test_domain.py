@@ -330,10 +330,8 @@ class TestFitResult:
 
         data = json.loads(path.read_text())
         assert data["model"] == "D"
-        assert data["params"]["alpha1"] == {"est": 2.0, "se": 0.2}
-        back = FitResult.from_json_dict(data)
-        assert back.param_names == fr.param_names
-        np.testing.assert_array_equal(back.estimates, fr.estimates)
+        assert data["params"] == {"alpha0": {"est": 1.0, "se": 0.1}, "alpha1": {"est": 2.0, "se": 0.2}}
+        assert (data["loglik"], data["converged"], data["iterations"]) == (-12.5, True, 7)
 
     def test_negative_se_rejected_when_converged(self):
         with pytest.raises(ValidationError):

@@ -1,14 +1,18 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from panel_records import Record, panel_of
 from visitsim import harness, jointfit, lmm
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import MODEL_LABELS
 from visitsim.errors import ValidationError
-from visitsim.harness import (PERFORMANCE_CSV_COLUMNS, EstimateRow, EstimatesTable, StudyConfig,
+from visitsim.harness import (ESTIMATES_CSV_COLUMNS, PERFORMANCE_CSV_COLUMNS, EstimatesTable, StudyConfig,
                               describe_datasets, diagnose_informativeness, run_study, summarize)
 
 
@@ -24,8 +28,9 @@ class TestStudyConfig:
             small_study(reps=1)
         with pytest.raises(ValidationError):
             small_study(models=())
-        with pytest.raises(ValidationError):
-            small_study(models=("Z",))
+        for models in (("Z",), ("D", "E", "D")):
+            with pytest.raises(ValidationError, match="models must be distinct labels of A, B, C, D, E"):
+                small_study(models=models)
         for threads in (0, -1):
             with pytest.raises(ValidationError, match="threads must be >= 1"):
                 StudyConfig(scenario=small_study().scenario, threads=threads)
@@ -49,8 +54,9 @@ class TestRunStudy:
         # K=2, models={D}: exactly 2 * |params(D)| rows
         table = run_study(small_study(models=("D",), reps=2))
         assert len(table) == 2 * 5
-        assert {r.model for r in table} == {"D"}
-        assert {r.rep for r in table} == {1, 2}
+        assert set(table.model.tolist()) == {"D"}
+        assert table.rep.tolist() == [1] * 5 + [2] * 5
+        assert table.param.tolist() == list(lmm.Adjustment.NONE.param_names) * 2
 
     def test_determinism_across_runs(self):
         study = small_study(models=("D", "E"), reps=3)
@@ -134,7 +140,8 @@ class TestRunStudy:
         monkeypatch.setattr(lmm, "_BRENT_MAX_ITER", 1)
         table = run_study(small_study(models=("B", "D"), reps=2))
         assert len(table) == 2 * (6 + 5)
-        assert not any(r.converged for r in table)
+        assert not table.converged.any()
+        assert np.isnan(table.est).all() and np.isnan(table.se).all()
 
     def test_models_a_and_d_share_model_d_estimates(self, monkeypatch):
         real = lmm._lmm_estimates
@@ -146,12 +153,17 @@ class TestRunStudy:
 
         for module in (lmm, jointfit, harness):
             monkeypatch.setattr(module, "_lmm_estimates", counted)
-        rows = harness._replication_rows(small_study(models=MODEL_LABELS), 1)
+        fits = harness._replication(small_study(models=MODEL_LABELS), 1)
         # B, C and one D for both A's start and D: four before they were shared
         assert sorted(fitted) == ["B", "C", "D"]
-        # the same rows as each model fitted in a replication of its own
-        assert rows == [row for label in MODEL_LABELS
-                        for row in harness._replication_rows(small_study(models=(label,)), 1)]
+
+        def bits(fit):
+            return (fit.model_label, fit.estimates.tobytes(), fit.std_errors.tobytes(), fit.loglik,
+                    fit.converged, fit.iterations, fit.message)
+
+        # the same fits as each model fitted in a replication of its own
+        assert [bits(fit) for fit in fits] == [bits(fit) for label in MODEL_LABELS
+                                               for fit in harness._replication(small_study(models=(label,)), 1)]
 
     @pytest.mark.parametrize("affinity, cpu_count", [({0}, 8), (None, 1)],
                              ids=["affinity of one CPU", "no affinity, one CPU"])
@@ -175,7 +187,13 @@ class TestRunStudy:
         ("s,x,D,alpha1,0.5,0.1,1", "invalid literal for int"),
         ("s,1,D,alpha1,0.5,0.1,yes", "invalid literal for int"),
         ("s,1,D,alpha1,abc,0.1,1", "could not convert string to float"),
-    ], ids=["four-fields", "rep-not-int", "converged-not-int", "est-not-float"])
+        ("s,1,D,alpha1,,0.1,1", "est and se must both be given where converged is 1"),
+        ("s,1,D,alpha1,0.5,,1", "est and se must both be given where converged is 1"),
+        ("s,1,D,alpha1,0.5,0.1,0", "est and se must both be given where converged is 1 and both be empty"),
+        ("s,1,D,alpha0,0.3,0.2,1", "rep 1, model D, param alpha0 repeats line 2"),
+        ("t,1,D,alpha1,0.5,0.1,1", "scenario 't' differs from 's'; a file holds one study"),
+    ], ids=["four-fields", "rep-not-int", "converged-not-int", "est-not-float", "converged-without-est",
+            "converged-without-se", "not-converged-with-est", "repeated-key", "second-scenario"])
     def test_read_csv_reports_malformed_rows(self, tmp_path, row, message):
         path = tmp_path / "estimates.csv"
         path.write_text("scenario,rep,model,param,est,se,converged\n"
@@ -184,16 +202,62 @@ class TestRunStudy:
             EstimatesTable.read_csv(path)
 
 
-def rows_from(values, model="D", param="alpha1", ses=None, converged=None, scenario="s"):
-    ses = ses if ses is not None else [0.1] * len(values)
-    converged = converged if converged is not None else [True] * len(values)
-    return [EstimateRow(scenario, k + 1, model, param, v, s, c)
-            for k, (v, s, c) in enumerate(zip(values, ses, converged))]
+def rows_from(values, model="D", param="alpha1", ses=None, converged=None):
+    """The columns of one (model, param) over reps 1..K; est and se are NaN where None."""
+    k = len(values)
+    ses = ses if ses is not None else [0.1] * k
+    converged = converged if converged is not None else [True] * k
+    return (np.arange(1, k + 1), [model] * k, [param] * k, np.array(values, dtype=float),
+            np.array(ses, dtype=float), converged)
+
+
+def table_of(*parts, scenario="s"):
+    """An EstimatesTable of ``rows_from`` parts, one after the other."""
+    return EstimatesTable(scenario, *(np.concatenate(column) for column in zip(*parts)))
+
+
+def shuffled(table, rng):
+    order = rng.permutation(len(table))
+    return EstimatesTable(table.scenario, *(getattr(table, c)[order] for c in ESTIMATES_CSV_COLUMNS[1:]))
+
+
+# one study's estimates: distinct (rep, model, param) keys in any order, with non-converged
+# rows and estimates that stress the float text round trip (-0.0, subnormals)
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308]),
+                    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def estimates_tables(draw):
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from("ADE"),
+                                   st.sampled_from(["alpha0", "alpha1", "gamma"])),
+                         min_size=1, max_size=40, unique=True))
+    rows = []
+    for rep, model, param in draw(st.permutations(keys)):
+        converged = draw(st.booleans())
+        est, se = (draw(_FLOATS), draw(_FLOATS)) if converged else (np.nan, np.nan)
+        rows.append((rep, model, param, est, se, converged))
+    return EstimatesTable("s", *zip(*rows))
+
+
+class TestEstimatesTableRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(estimates_tables())
+    def test_write_read_write_is_byte_identical(self, tmp_path, table):
+        path = tmp_path / "estimates.csv"
+        table.write_csv(path)
+        back = EstimatesTable.read_csv(path)
+        assert back.to_csv_text().encode() == path.read_bytes()
+        truths = {"alpha0": 0.0, "alpha1": 1.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert summarize(back, truths).to_csv_text() == summarize(table, truths).to_csv_text()
 
 
 class TestSummarize:
     def test_trivial_bias_empse(self):
-        table = EstimatesTable(rows_from([1.2, 0.8, 1.0]))
+        table = table_of(rows_from([1.2, 0.8, 1.0]))
         perf = summarize(table, {"alpha1": 1.0})
         row = perf.lookup("D", "alpha1")
         assert row.bias == pytest.approx(0.0, abs=1e-15)
@@ -205,11 +269,11 @@ class TestSummarize:
         rng = np.random.default_rng(0)
         draws = rng.normal(1.0, np.sqrt(0.1), 1000)
         draws = (draws - draws.mean()) / draws.std(ddof=1) * np.sqrt(0.1) + 1.0
-        perf = summarize(EstimatesTable(rows_from(draws)), {"alpha1": 1.0})
+        perf = summarize(table_of(rows_from(draws)), {"alpha1": 1.0})
         assert perf.lookup("D", "alpha1").bias_mcse == pytest.approx(0.01, abs=1e-12)
 
     def test_full_coverage(self):
-        table = EstimatesTable(rows_from([1.0, 1.01, 0.99], ses=[0.1, 0.1, 0.1]))
+        table = table_of(rows_from([1.0, 1.01, 0.99], ses=[0.1, 0.1, 0.1]))
         row = summarize(table, {"alpha1": 1.0}).lookup("D", "alpha1")
         assert row.coverage == 1.0
         assert row.coverage_mcse == 0.0
@@ -217,7 +281,7 @@ class TestSummarize:
     def test_mse_identity(self):
         rng = np.random.default_rng(3)
         draws = rng.normal(0.9, 0.3, 57)
-        row = summarize(EstimatesTable(rows_from(draws)), {"alpha1": 1.0}).lookup("D", "alpha1")
+        row = summarize(table_of(rows_from(draws)), {"alpha1": 1.0}).lookup("D", "alpha1")
         k = 57
         assert row.bias**2 + row.emp_se**2 * (k - 1) / k == pytest.approx(row.mse, abs=1e-12)
 
@@ -225,27 +289,24 @@ class TestSummarize:
         values = [1.0, 1.1, None, 0.9]
         ses = [0.1, 0.1, None, 0.1]
         conv = [True, True, False, True]
-        row = summarize(EstimatesTable(rows_from(values, ses=ses, converged=conv)),
+        row = summarize(table_of(rows_from(values, ses=ses, converged=conv)),
                         {"alpha1": 1.0}).lookup("D", "alpha1")
         assert row.conv_rate == pytest.approx(0.75)
         assert row.mean_est == pytest.approx(1.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
-        rows = rows_from(rng.normal(1, 0.2, 20)) + rows_from(rng.normal(0, 0.1, 20), param="alpha0")
-        perm = list(rows)
-        rng.shuffle(perm)
-        a = summarize(EstimatesTable(rows), {"alpha0": 0.0, "alpha1": 1.0})
-        b = summarize(EstimatesTable(perm), {"alpha0": 0.0, "alpha1": 1.0})
+        table = table_of(rows_from(rng.normal(1, 0.2, 20)), rows_from(rng.normal(0, 0.1, 20), param="alpha0"))
+        a = summarize(table, {"alpha0": 0.0, "alpha1": 1.0})
+        b = summarize(shuffled(table, rng), {"alpha0": 0.0, "alpha1": 1.0})
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_too_few_converged_gives_nan_row(self):
-        rows = rows_from([1.0, None, None], ses=[0.1, None, None],
-                         converged=[True, False, False])
-        rows += rows_from([0.1, -0.1, 0.0], param="alpha0")
+        table = table_of(rows_from([1.0, None, None], ses=[0.1, None, None], converged=[True, False, False]),
+                         rows_from([0.1, -0.1, 0.0], param="alpha0"))
         message = "1 of 3 replications converged for model D, parameter alpha1;"
         with pytest.warns(RuntimeWarning, match=message):
-            perf = summarize(EstimatesTable(rows), {"alpha0": 0.0, "alpha1": 1.0})
+            perf = summarize(table, {"alpha0": 0.0, "alpha1": 1.0})
         row = perf.lookup("D", "alpha1")
         assert (row.scenario, row.truth, row.conv_rate) == ("s", 1.0, pytest.approx(1 / 3))
         measures = [getattr(row, f) for f in PERFORMANCE_CSV_COLUMNS[4:-1]]
@@ -254,15 +315,14 @@ class TestSummarize:
         assert perf.lookup("D", "alpha0").emp_se == pytest.approx(0.1)
 
     def test_too_few_converged_row_in_csv(self):
-        rows = rows_from([None, None], ses=[None, None], converged=[False, False])
+        table = table_of(rows_from([None, None], ses=[None, None], converged=[False, False]))
         with pytest.warns(RuntimeWarning, match="0 of 2 replications"):
-            text = summarize(EstimatesTable(rows), {"alpha1": 1.0}).to_csv_text()
+            text = summarize(table, {"alpha1": 1.0}).to_csv_text()
         assert text.splitlines()[1] == "s,D,alpha1,1.0," + "nan," * 9 + "0.0"
 
     def test_params_filter(self):
         # only the parameters that have a true value are summarized
-        rows = rows_from([1.0, 1.1]) + rows_from([9.9, 9.8], param="weird")
-        perf = summarize(EstimatesTable(rows), {"alpha1": 1.0})
+        perf = summarize(table_of(rows_from([1.0, 1.1]), rows_from([9.9, 9.8], param="weird")), {"alpha1": 1.0})
         assert [(r.model, r.param) for r in perf] == [("D", "alpha1")]
 
 
@@ -330,6 +390,15 @@ class TestDiagnose:
         with pytest.raises(ValidationError, match="permutation count must be >= 0"):
             diagnose_informativeness(panel, n_permutations=-1)
         assert diagnose_informativeness(panel, n_permutations=0).spearman_pvalue == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+        *[st.lists(st.one_of(st.integers(0, 4).map(float), st.floats(0, 10)), min_size=n, max_size=n)] * 2)))
+    def test_spearman_matches_scipy_bit_for_bit(self, pair):
+        a, b = np.array(pair[0]), np.array(pair[1])
+        assume(len(set(pair[0])) > 1 and len(set(pair[1])) > 1)  # scipy's rho is NaN for a constant
+        rho = harness._spearman(harness._midranks(a), b)
+        assert rho.hex() == float(scipy.stats.spearmanr(a, b).statistic).hex()
 
     def test_json_dict(self):
         cfg = ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=40)

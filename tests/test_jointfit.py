@@ -10,7 +10,7 @@ from visitsim import jointfit, lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.harness import StudyConfig, _replication_rows
+from visitsim.harness import StudyConfig, _replication
 from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta,
                                _trust_region_step, fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
                                subject_log_contributions)
@@ -328,9 +328,9 @@ def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, inf
         fit = fit_joint(panel)
         assert not fit.converged and fit.message.startswith("optimizer: no predicted gain")
     study = StudyConfig(scenario=config, models=("A", "D"), replications=2)
-    rows = _replication_rows(study, 1)
-    assert [r.converged for r in rows if r.model == "A"] == [False] * len(PARAM_NAMES)
-    assert all(r.converged for r in rows if r.model == "D")
+    fit_a, fit_d = _replication(study, 1)
+    assert fit_a is None or not fit_a.converged
+    assert fit_d.converged
 
 
 def test_trial_point_with_a_non_finite_score_is_rejected(monkeypatch):

@@ -55,3 +55,18 @@ def test_cli_import_leaves_scipy_optimize_and_stats_out():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(visitsim.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_diagnose_loads_no_scipy(tmp_path):
+    # numpy is the one runtime dependency: a simulated panel's diagnostics import no scipy module
+    panel, out = tmp_path / "panel.csv", tmp_path / "diag.json"
+    code = ("import sys\n"
+            "from visitsim import cli\n"
+            f"assert cli.main(['simulate', '--config', 'jm_g15_l010', '--out', {str(panel)!r}]) == 0\n"
+            f"assert cli.main(['diagnose', '--panel', {str(panel)!r}, '--permutations', '19', "
+            f"'--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(visitsim.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stderr.strip() == "[]"
+    assert out.exists()
