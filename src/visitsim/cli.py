@@ -144,7 +144,7 @@ def _cmd_run_study(args) -> int:
     perf = summarize(table, truths)
     perf.write_csv(perf_path)
     _write_manifest(args.out_dir, "run-study", sha, config, config.seed, [est_path, perf_path],
-                    extra={"models": list(models), "replications": reps,
+                    extra={"models": list(models), "replications": reps, "gh_order": study.gh_order,
                            "truths": truths})
     n_conv = int(table.converged.sum())
     print(f"{config.label}: {reps} replications x {len(models)} models -> {est_path}, {perf_path} "

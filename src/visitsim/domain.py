@@ -62,6 +62,7 @@ class PanelDataset:
     visits, so ``starts`` indexes the per-gap arrays ``gaps`` and
     ``observed`` too: row r's gap starts at visit r, and the last row of each
     block holds the censored gap from the last visit to the censoring time.
+    ``derived`` keeps what the fits of the panel share.
     """
 
     ids: np.ndarray
@@ -86,6 +87,20 @@ class PanelDataset:
     def group_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-subject sums of a per-row (equivalently, per-gap) array."""
         return np.add.reduceat(values, self.starts)
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def derived(self, make, *args):
+        """``make(self, *args)``, made on the first request and kept for the panel's fits to share.
+
+        A ``make`` that raises keeps nothing, so the next request calls it again.
+        """
+        key = (make, *args)
+        if key not in self._memo:
+            self._memo[key] = make(self, *args)
+        return self._memo[key]
 
     @functools.cached_property
     def gap_records(self) -> tuple[GapRecord, ...]:

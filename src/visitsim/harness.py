@@ -8,6 +8,7 @@ of worker processes and still produce byte-identical output tables.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import csv
@@ -25,7 +26,7 @@ from .domain import MODEL_LABELS, FitResult, PanelDataset, write_atomic
 from .errors import EstimationError, ValidationError
 from .iivw import fit_iivw
 from .jointfit import fit_joint, gauss_hermite
-from .lmm import Adjustment, _lmm_estimates, fit_lmm
+from .lmm import Adjustment, fit_lmm
 from .survfit import _CoxData, _jackknife_cov, fit_andersen_gill
 
 ESTIMATES_CSV_COLUMNS = ("scenario", "rep", "model", "param", "est", "se", "converged")
@@ -113,6 +114,12 @@ class EstimatesTable:
                         raise ValueError(f"expected {len(ESTIMATES_CSV_COLUMNS)} fields, got {len(line)}")
                     tag, rep, model, param, est, se, conv = line
                     rep, conv = int(rep), bool(int(conv))
+                    if rep < 1:
+                        raise ValueError(f"rep must be >= 1, got {rep}")
+                    if model not in _MODEL_PARAMS:
+                        raise ValueError(f"model {model!r} is not one of {', '.join(MODEL_LABELS)}")
+                    if param not in _MODEL_PARAMS[model]:
+                        raise ValueError(f"model {model} has no parameter {param!r}")
                     if (est != "", se != "") != (conv, conv):
                         raise ValueError("est and se must both be given where converged is 1 "
                                          "and both be empty where it is 0")
@@ -130,20 +137,18 @@ class EstimatesTable:
         return cls(columns[0][0] if columns[0] else "", *columns[1:])
 
 
-def fit_model(panel: PanelDataset, label: str, gh_order: int = 25, *, _d_estimates=None) -> FitResult:
+def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
     """Dispatch a panel to the estimator for one of the five model labels.
 
     ``gh_order`` is the quadrature order of model A; the other models ignore it.
-    ``_d_estimates``, if given, is a call that returns model D's point
-    estimates on ``panel``, for models A (its start) and D to share.
     """
     if label not in MODEL_LABELS:
         raise ValidationError(f"unknown model label {label!r}")
     if label == "A":
-        return fit_joint(panel, gh_order, _d_estimates=_d_estimates)
+        return fit_joint(panel, gh_order)
     if label == "E":
         return fit_iivw(panel)
-    return fit_lmm(panel, Adjustment(label), _estimates=_d_estimates if label == "D" else None)
+    return fit_lmm(panel, Adjustment(label))
 
 
 def _replication(study: StudyConfig, rep: int) -> list[FitResult | None]:
@@ -152,17 +157,12 @@ def _replication(study: StudyConfig, rep: int) -> list[FitResult | None]:
         panel = simulate_panel(study.scenario, np.random.SeedSequence(study.scenario.seed, spawn_key=(rep,)))
     except (ValidationError, ValueError, ArithmeticError):
         return [None] * len(study.models)
-    d_estimates = None
-    if "A" in study.models and "D" in study.models:
-        # model D's point estimates, also model A's start: computed once, unless they raise,
-        # and then each fit raises as it would on its own
-        d_estimates = functools.cache(functools.partial(_lmm_estimates, panel, Adjustment.NONE))
     fits = []
     for label in study.models:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fits.append(fit_model(panel, label, study.gh_order, _d_estimates=d_estimates))
+                fits.append(fit_model(panel, label, study.gh_order))
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study
@@ -206,22 +206,7 @@ def run_study(study: StudyConfig) -> EstimatesTable:
 # --- performance measures ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerformanceRow:
-    scenario: str
-    model: str
-    param: str
-    truth: float
-    mean_est: float
-    bias: float
-    bias_mcse: float
-    emp_se: float
-    mod_se: float
-    mse: float
-    mse_mcse: float
-    coverage: float
-    coverage_mcse: float
-    conv_rate: float
+PerformanceRow = collections.namedtuple("PerformanceRow", PERFORMANCE_CSV_COLUMNS)
 
 
 class PerformanceTable:
@@ -245,8 +230,7 @@ class PerformanceTable:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(PERFORMANCE_CSV_COLUMNS)
         for r in self.rows:
-            w.writerow([r.scenario, r.model, r.param] +
-                       [repr(float(getattr(r, f))) for f in PERFORMANCE_CSV_COLUMNS[3:]])
+            w.writerow([*r[:3], *(repr(float(v)) for v in r[3:])])
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -277,8 +261,8 @@ def summarize(estimates: EstimatesTable, truths: dict[str, float]) -> Performanc
             warnings.warn(f"{scenario}: {k} of {k_all} replications converged for model {model}, "
                           f"parameter {param}; its performance measures are NaN",
                           RuntimeWarning, stacklevel=2)
-            out.append(PerformanceRow(scenario, model, param, float(truth), *[float("nan")] * 9,
-                                      conv_rate=k / k_all))
+            nan = [float("nan")] * (len(PERFORMANCE_CSV_COLUMNS) - 5)
+            out.append(PerformanceRow(scenario, model, param, float(truth), *nan, conv_rate=k / k_all))
             continue
         est, se = estimates.est[done], estimates.se[done]
         bias = float(est.mean() - truth)

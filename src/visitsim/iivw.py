@@ -87,7 +87,7 @@ def fit_iivw(panel: PanelDataset) -> FitResult:
     Only the weight model's coefficients are used; its covariance is never
     computed.
     """
-    coxfit = fit_andersen_gill(_CoxData.from_panel(panel))
+    coxfit = fit_andersen_gill(panel.derived(_CoxData.from_panel))
     if not coxfit.converged:
         return FitResult(
             model_label="E",

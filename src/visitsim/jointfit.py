@@ -37,8 +37,7 @@ import numpy as np
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
-from .lmm import (GRAD_TOL, LOG_2PI, MAX_ITER, Adjustment, _fit_result, _lmm_estimates, design_matrix,
-                  lmm_loglik)
+from .lmm import LOG_2PI, Adjustment, _fit_result, _lmm_estimates, design_matrix, lmm_loglik
 from .survfit import _CoxData, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
@@ -52,8 +51,10 @@ _C = np.array([_LOG_SCALE.get(k, 1.0) for k in PARAM_NAMES])
 _MODE_TOL = 1e-11
 _MODE_MAX_ITER = 80
 _U_BOUND = 60.0
-# the trust region: acceptance ratio, largest radius, and the tolerance, iteration limit and
-# floor of the step's secular equation
+# the fit's iteration limit and score tolerance; the trust region: acceptance ratio, largest
+# radius, and the tolerance, iteration limit and floor of the step's secular equation
+MAX_ITER = 500
+GRAD_TOL = 1e-6
 _ETA = 0.15
 _MAX_RADIUS = 1000.0
 _STEP_RTOL = 1e-10
@@ -320,10 +321,10 @@ def recurrent_frailty_loglik(params, panel: PanelDataset, order: int = 25) -> fl
     return loglik - lmm_loglik([0.0, 0.0, 0.0], 1.0, 1.0, panel)
 
 
-def _starting_theta(panel: PanelDataset, data: _JointData, d_estimates=None) -> np.ndarray:
+def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
     try:
-        # model D's point estimates; its likelihood and standard errors are not needed here
-        theta, *_ = _lmm_estimates(panel, Adjustment.NONE) if d_estimates is None else d_estimates()
+        # model D's point estimates, shared with model D's fit; its likelihood and SEs are not needed
+        theta, *_ = panel.derived(_lmm_estimates, Adjustment.NONE)
         a0, a1, a2 = theta[:3]
         sv2 = max(float(np.exp(2.0 * theta[3])), 1e-4)
         se2 = max(float(np.exp(2.0 * theta[4])), 1e-4)
@@ -331,7 +332,7 @@ def _starting_theta(panel: PanelDataset, data: _JointData, d_estimates=None) -> 
         a0, a1, a2 = np.mean(panel.y), 0.0, 0.0
         sv2 = se2 = max(np.var(panel.y) / 2.0, 1e-4)
     try:
-        lam, p, beta_vec, ok = fit_weibull_ph(_CoxData.from_panel(panel))
+        lam, p, beta_vec, ok = fit_weibull_ph(panel.derived(_CoxData.from_panel))
         beta = float(beta_vec[0]) if ok else 0.0
         if not ok:
             lam, p = max(np.sum(data.events) / np.sum(panel.gaps), 1e-6), 1.0
@@ -379,7 +380,7 @@ def _trust_region_step(w: np.ndarray, V: np.ndarray, g: np.ndarray, radius: floa
     return -(V @ p), mu - w[0]
 
 
-def fit_joint(panel: PanelDataset, order: int = 25, *, _d_estimates=None) -> FitResult:
+def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     """Maximum likelihood fit of the joint model (model A) with an ``order``-node rule.
 
     A trust-region Newton method on the exact observed information, from
@@ -396,8 +397,6 @@ def fit_joint(panel: PanelDataset, order: int = 25, *, _d_estimates=None) -> Fit
     ``iterations`` counts trust-region iterations and the message names the
     stop.  A trial point with a non-finite likelihood or score is rejected; a
     non-finite information where the score is finite raises EstimationError.
-    ``_d_estimates``, if given, is a call that returns model D's
-    ``_lmm_estimates``, for a caller that fits model D to the same panel.
     """
     data = _JointData(panel, order)
     if panel.n_subjects < 2:
@@ -415,7 +414,7 @@ def fit_joint(panel: PanelDataset, order: int = 25, *, _d_estimates=None) -> Fit
             raise EstimationError("non-finite observed information")
         return -grad, -hess
 
-    theta = _starting_theta(panel, data, _d_estimates)
+    theta = _starting_theta(panel, data)
     ll, _, pt = _value(theta, data)
     f, (g, B) = -ll, derivatives(pt)
     radius, iterations, eig = 1.0, 0, None

@@ -132,8 +132,6 @@ def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel,
     return float(-_evaluate(theta, X, panel, 0)[0])
 
 
-MAX_ITER = 500
-GRAD_TOL = 1e-6
 # the search interval of log(sigma_v2 / sigma_e2); at the lower end sigma_v2 is 1.4e-11 * sigma_e2
 LOG_RHO_BOUNDS = (-25.0, 15.0)
 # Brent's method: scipy.optimize.brentq's default tolerances and iteration limit
@@ -286,7 +284,7 @@ def _fit_result(label: str, names, estimates: np.ndarray, fval: float, grad: np.
 def _lmm_estimates(panel: PanelDataset, adjustment: Adjustment):
     """Point estimates of a random-intercept LMM as (theta, X, profile evaluations).
 
-    ``theta`` is (alpha, log sigma_v, log sigma_e).
+    ``theta`` is (alpha, log sigma_v, log sigma_e); it and X are read-only.
     """
     if panel.n_subjects < 2:
         raise EstimationError("fit_lmm needs at least 2 subjects")
@@ -297,10 +295,11 @@ def _lmm_estimates(panel: PanelDataset, adjustment: Adjustment):
     alpha, rss, _ = profile.at(log_rho)
     log_sigma_e = 0.5 * np.log(rss / profile.N)
     theta = np.concatenate([alpha, [log_sigma_e + 0.5 * log_rho, log_sigma_e]])
+    theta.flags.writeable = X.flags.writeable = False
     return theta, X, profile.evaluations
 
 
-def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE, *, _estimates=None) -> FitResult:
+def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE) -> FitResult:
     """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
 
     log(sigma_v2 / sigma_e2) is the root of the profiled deviance's slope,
@@ -309,10 +308,9 @@ def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE, *, _e
     Standard errors come from the inverse of the closed-form observed
     information in (alpha, log sigma_v, log sigma_e), mapped to the reported
     sigma^2 by the delta method.  ``iterations`` counts profile evaluations.
-    ``_estimates``, if given, is a call that returns
-    ``_lmm_estimates(panel, adjustment)``, for a caller that shares it.
+    The point estimates are kept with the panel, for model A's start to share.
     """
-    theta, X, evaluations = _lmm_estimates(panel, adjustment) if _estimates is None else _estimates()
+    theta, X, evaluations = panel.derived(_lmm_estimates, adjustment)
     fval, grad, info = _evaluate(theta, X, panel, 2)
     k = X.shape[1]
     sigma_v2, sigma_e2 = np.exp(2.0 * theta[k:])

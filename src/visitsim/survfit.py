@@ -41,7 +41,7 @@ class CoxFit:
 
 class _CoxData:
     """Gaps, event flags, covariates and subject ids, sorted by descending gap for
-    prefix-sum risk sets."""
+    prefix-sum risk sets; the arrays are read-only."""
 
     def __init__(self, gaps, events, covariates, subjects):
         gaps = np.asarray(gaps, dtype=float)
@@ -62,6 +62,8 @@ class _CoxData:
         self.risk_end = np.searchsorted(-self.gaps, -self.gaps, side="right") - 1
         self.event_idx = np.nonzero(self.events)[0]
         self.n_events = len(self.event_idx)
+        for arr in (self.gaps, self.events, self.Z, self.subjects, self.risk_end, self.event_idx):
+            arr.flags.writeable = False
 
     @classmethod
     def from_panel(cls, panel, covariate=None):

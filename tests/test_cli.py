@@ -168,11 +168,11 @@ class TestRunStudyCommand:
         real_fit_model = harness.fit_model
         calls = []
 
-        def fit_model(panel, label, gh_order=25, **shared):
+        def fit_model(panel, label, gh_order=25):
             calls.append(label)
             if calls.count("D") == 1 and label == "D":  # threads=1: replication 1
                 raise EstimationError("no convergence")
-            return real_fit_model(panel, label, gh_order, **shared)
+            return real_fit_model(panel, label, gh_order)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
         out_dir = tmp_path / "study"
@@ -199,7 +199,7 @@ class TestRunStudyCommand:
     def test_outputs_and_manifest(self, cfg_path, tmp_path):
         out_dir = tmp_path / "study"
         rc = main(["run-study", "--config", cfg_path, "--reps", "3", "--models", "D,E",
-                   "--out-dir", str(out_dir), "--threads", "1"])
+                   "--out-dir", str(out_dir), "--threads", "1", "--gh-order", "15"])
         assert rc == 0
         est = (out_dir / "estimates.csv").read_text().splitlines()
         assert est[0] == "scenario,rep,model,param,est,se,converged"
@@ -211,6 +211,7 @@ class TestRunStudyCommand:
         assert manifest["command"] == "run-study"
         assert manifest["replications"] == 3
         assert manifest["models"] == ["D", "E"]
+        assert manifest["gh_order"] == 15
 
     def test_reproducible_from_manifest(self, cfg_path, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"

@@ -320,6 +320,44 @@ class TestRowArrays:
         assert not panel.gaps.flags.writeable
 
 
+class TestDerived:
+    def test_made_once_and_shared(self):
+        panel = panel_of([make_subject(sid=1), make_subject(sid=2, z=1)])
+        calls = []
+
+        def make(p, scale):
+            calls.append(scale)
+            return p.gaps * scale
+
+        first = panel.derived(make, 2.0)
+        assert panel.derived(make, 2.0) is first
+        assert panel.derived(make, 3.0) is not first
+        assert calls == [2.0, 3.0]
+        assert panel_of([make_subject(sid=1)]).derived(make, 2.0) is not first
+
+    def test_a_make_that_raises_is_called_again(self):
+        panel = panel_of([make_subject()])
+        calls = []
+
+        def make(p):
+            calls.append(p)
+            if len(calls) == 1:
+                raise ValidationError("first request fails")
+            return len(calls)
+
+        with pytest.raises(ValidationError, match="first request fails"):
+            panel.derived(make)
+        assert panel.derived(make) == 2
+        assert panel.derived(make) == 2
+        assert len(calls) == 2
+
+    def test_fields_are_the_ten_arrays(self):
+        panel = panel_of([make_subject()])
+        panel.derived(lambda p: p.n_rows)
+        assert [f.name for f in fields(PanelDataset)] == ["ids", "z", "censoring", "counts", "starts", "t", "y",
+                                                           "z_rows", "gaps", "observed"]
+
+
 class TestFitResult:
     def test_json_roundtrip(self, tmp_path):
         fr = FitResult("D", ("alpha0", "alpha1"), np.array([1.0, 2.0]), np.array([0.1, 0.2]),

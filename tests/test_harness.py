@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from panel_records import Record, panel_of
-from visitsim import harness, jointfit, lmm
+from visitsim import harness, jointfit, lmm, survfit
 from visitsim.dgm import ScenarioConfig, simulate_panel
 from visitsim.domain import MODEL_LABELS
 from visitsim.errors import ValidationError
@@ -92,11 +92,11 @@ class TestRunStudy:
         real_fit_model = harness.fit_model
         calls = []
 
-        def fit_model(panel, label, gh_order=25, **shared):
+        def fit_model(panel, label, gh_order=25):
             calls.append(label)
             if len(calls) == 4:  # threads=1: replication 2, model E
                 raise error
-            return real_fit_model(panel, label, gh_order, **shared)
+            return real_fit_model(panel, label, gh_order)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
         lines = run_study(study).to_csv_text().splitlines()
@@ -144,18 +144,25 @@ class TestRunStudy:
         assert np.isnan(table.est).all() and np.isnan(table.se).all()
 
     def test_models_a_and_d_share_model_d_estimates(self, monkeypatch):
-        real = lmm._lmm_estimates
-        fitted = []
+        real, real_from_panel = lmm._lmm_estimates, survfit._CoxData.from_panel
+        fitted, built = [], []
 
         def counted(panel, adjustment):
             fitted.append(adjustment.value)
             return real(panel, adjustment)
 
-        for module in (lmm, jointfit, harness):
+        def counted_from_panel(cls, panel, covariate=None):
+            built.append(panel.n_rows)
+            return real_from_panel(panel, covariate)
+
+        for module in (lmm, jointfit):
             monkeypatch.setattr(module, "_lmm_estimates", counted)
+        monkeypatch.setattr(survfit._CoxData, "from_panel", classmethod(counted_from_panel))
         fits = harness._replication(small_study(models=MODEL_LABELS), 1)
         # B, C and one D for both A's start and D: four before they were shared
         assert sorted(fitted) == ["B", "C", "D"]
+        # one gap-sorted Cox data set for A's Weibull start and E's weight model
+        assert len(built) == 1
 
         def bits(fit):
             return (fit.model_label, fit.estimates.tobytes(), fit.std_errors.tobytes(), fit.loglik,
@@ -192,8 +199,12 @@ class TestRunStudy:
         ("s,1,D,alpha1,0.5,0.1,0", "est and se must both be given where converged is 1 and both be empty"),
         ("s,1,D,alpha0,0.3,0.2,1", "rep 1, model D, param alpha0 repeats line 2"),
         ("t,1,D,alpha1,0.5,0.1,1", "scenario 't' differs from 's'; a file holds one study"),
+        ("s,1,Z,alpha1,0.5,0.1,1", "model 'Z' is not one of A, B, C, D, E"),
+        ("s,1,D,beta,0.5,0.1,1", "model D has no parameter 'beta'"),
+        ("s,0,D,alpha1,0.5,0.1,1", "rep must be >= 1, got 0"),
     ], ids=["four-fields", "rep-not-int", "converged-not-int", "est-not-float", "converged-without-est",
-            "converged-without-se", "not-converged-with-est", "repeated-key", "second-scenario"])
+            "converged-without-se", "not-converged-with-est", "repeated-key", "second-scenario",
+            "unknown-model", "param-not-of-model", "rep-below-one"])
     def test_read_csv_reports_malformed_rows(self, tmp_path, row, message):
         path = tmp_path / "estimates.csv"
         path.write_text("scenario,rep,model,param,est,se,converged\n"
@@ -225,15 +236,16 @@ def shuffled(table, rng):
 # rows and estimates that stress the float text round trip (-0.0, subnormals)
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308]),
                     st.floats(-1e6, 1e6))
+# each model with a parameter of its own
+_MODEL_PARAM_PAIRS = [(model, param) for model, names in harness._MODEL_PARAMS.items() for param in names]
 
 
 @st.composite
 def estimates_tables(draw):
-    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from("ADE"),
-                                   st.sampled_from(["alpha0", "alpha1", "gamma"])),
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from(_MODEL_PARAM_PAIRS)),
                          min_size=1, max_size=40, unique=True))
     rows = []
-    for rep, model, param in draw(st.permutations(keys)):
+    for rep, (model, param) in draw(st.permutations(keys)):
         converged = draw(st.booleans())
         est, se = (draw(_FLOATS), draw(_FLOATS)) if converged else (np.nan, np.nan)
         rows.append((rep, model, param, est, se, converged))

@@ -10,8 +10,9 @@ from visitsim import lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError
-from visitsim.lmm import (GRAD_TOL, LOG_RHO_BOUNDS, Adjustment, _brentq, _evaluate, _fit_result, _lmm_estimates,
-                          _Profile, design_matrix, fit_lmm, lmm_loglik)
+from visitsim.jointfit import GRAD_TOL
+from visitsim.lmm import (LOG_RHO_BOUNDS, Adjustment, _brentq, _evaluate, _fit_result, _lmm_estimates, _Profile,
+                          design_matrix, fit_lmm, lmm_loglik)
 
 
 def preset(name):

@@ -1,8 +1,15 @@
+import inspect
 import os
 import subprocess
 import sys
 
+import pytest
+
 import visitsim
+from visitsim.harness import fit_model
+from visitsim.iivw import fit_iivw
+from visitsim.jointfit import fit_joint
+from visitsim.lmm import fit_lmm
 
 
 def test_star_import_resolves_every_public_name():
@@ -70,3 +77,9 @@ def test_diagnose_loads_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stderr.strip() == "[]"
     assert out.exists()
+
+
+@pytest.mark.parametrize("fit", [fit_model, fit_joint, fit_lmm, fit_iivw], ids=lambda fit: fit.__name__)
+def test_fits_take_no_private_parameters(fit):
+    # what the fits of one panel share is kept with the panel (``PanelDataset.derived``)
+    assert [name for name in inspect.signature(fit).parameters if name.startswith("_")] == []
