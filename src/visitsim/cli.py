@@ -155,6 +155,8 @@ def _cmd_run_study(args) -> int:
 def _cmd_summarize(args) -> int:
     config, truths, sha = _load_scenario(args.config, None)
     table = EstimatesTable.read_csv(args.estimates)
+    if len(table) and table.scenario != config.label:
+        raise ValidationError(f"{args.estimates} holds study {table.scenario!r}, not the config's {config.label!r}")
     perf = summarize(table, truths)
     perf.write_csv(args.out)
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "summarize", sha, config,

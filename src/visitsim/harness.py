@@ -124,6 +124,8 @@ class EstimatesTable:
                         raise ValueError("est and se must both be given where converged is 1 "
                                          "and both be empty where it is 0")
                     est, se = (float(est), float(se)) if conv else (np.nan, np.nan)
+                    if conv and not (np.isfinite(est) and np.isfinite(se) and se >= 0.0):
+                        raise ValueError(f"a converged row needs a finite est and a finite se >= 0, got {est}, {se}")
                     if columns[0] and tag != columns[0][0]:
                         raise ValueError(f"scenario {tag!r} differs from {columns[0][0]!r}; "
                                          f"a file holds one study")

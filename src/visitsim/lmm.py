@@ -7,8 +7,8 @@ the running count of visits up to and including the current one); each
 subject is sigma_v2 * J + sigma_e2 * I.  For a fixed ratio
 rho = sigma_v2 / sigma_e2 the maximum-likelihood alpha is a generalised
 least-squares solution and sigma_e2 is RSS / N, so a fit is a one-dimensional
-search over log rho of the profiled deviance (Bates, Maechler, Bolker &
-Walker, J Stat Softw 2015, section 3.4), on per-subject sums built once.
+search over log rho of the profiled deviance (Bates, Maechler, Bolker & Walker,
+J Stat Softw 2015, section 3.4) by ``survfit``'s Newton loop, on per-subject sums.
 ``_evaluate`` gives the likelihood, gradient and observed information from
 one pass over the per-subject residual sums (rank-one Woodbury identities),
 so its cost is linear in the number of rows.  ``_fit_result`` holds the one
@@ -23,6 +23,7 @@ import numpy as np
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError
+from .survfit import _newton
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -134,65 +135,7 @@ def lmm_loglik(alpha, sigma_v2: float, sigma_e2: float, panel,
 
 # the search interval of log(sigma_v2 / sigma_e2); at the lower end sigma_v2 is 1.4e-11 * sigma_e2
 LOG_RHO_BOUNDS = (-25.0, 15.0)
-# Brent's method: scipy.optimize.brentq's default tolerances and iteration limit
-_BRENT_XTOL = 2e-12
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAX_ITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of ``f`` between ``xa`` and ``xb``, by the steps of scipy.optimize.brentq.
-
-    Brent's method (Brent, Algorithms for Minimization Without Derivatives,
-    1973, ch. 4), line for line as scipy's ``brentq.c`` with its default
-    tolerances, so it returns the same root to the bit after the same calls of
-    ``f``.  The bracket keeps ``xa``'s sign at one end and ``xb``'s at the other.
-    A NaN value of ``f`` or a bracket whose ends have the same sign raises
-    ValueError; no convergence in _BRENT_MAX_ITER steps raises EstimationError.
-    """
-    def value(x):
-        fx = f(x)
-        if np.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)                        # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)                                # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry                                             # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis                                                      # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise EstimationError(f"no convergence after {_BRENT_MAX_ITER} iterations, value is {xcur}")
+_PROFILE_GTOL = 1e-10   # the search stops where the profile's slope in log rho is below this
 
 
 class _Profile:
@@ -214,38 +157,55 @@ class _Profile:
         self.evaluations = 0
 
     def at(self, log_rho: float):
-        """alpha-hat, the residual sum of squares and each subject's residual sum at rho."""
+        """alpha-hat, the RSS, each subject's residual sum and the A of A alpha-hat = b, at rho."""
         self.evaluations += 1
         c = np.exp(log_rho) / (1.0 + self.n * np.exp(log_rho))
         A = self.XtX - (self.Sx.T * c) @ self.Sx
         b = self.Xty - self.Sx.T @ (c * self.Sy)
         alpha = np.linalg.solve(A, b)
-        return alpha, self.yty - c @ (self.Sy * self.Sy) - b @ alpha, self.Sy - self.Sx @ alpha
+        return alpha, self.yty - c @ (self.Sy * self.Sy) - b @ alpha, self.Sy - self.Sx @ alpha, A
 
-    def slope(self, log_rho: float) -> float:
-        """d/d log rho of the profiled deviance N log RSS + sum log(1 + n_i rho).
+    def parts(self, log_rho):
+        """Minus half the profiled deviance N log RSS + sum log(1 + n_i rho), with its slope
+        and curvature in log rho, as ``survfit._newton`` takes them at the 1-vector ``log_rho``.
 
-        alpha-hat's own motion drops out at its optimum, so only rho's
-        explicit terms count.
+        With d_i = 1 + n_i rho, dRSS/drho = -sum (s_i / d_i)^2, as alpha-hat's own motion
+        drops out at its optimum; the curvature needs dalpha/drho = -A^-1 sum xbar_i s_i / d_i^2.
         """
-        _, rss, s = self.at(log_rho)
-        rho = np.exp(log_rho)
+        _, rss, s, A = self.at(log_rho[0])
+        rho = np.exp(log_rho[0])
         d = 1.0 + self.n * rho
-        return rho * (np.sum(self.n / d) - self.N * np.sum((s / d) ** 2) / rss)
+        h = s / d
+        w = h @ h                                               # -dRSS/drho
+        v = self.Sx.T @ (h / d)                                 # dalpha/drho = -A^-1 v
+        dw = 2.0 * (v @ np.linalg.solve(A, v) - self.n @ (h * h / d))
+        g = np.sum(self.n / d) - self.N * w / rss               # d deviance / drho
+        dg = -self.N * (dw / rss + (w / rss) ** 2) - np.sum((self.n / d) ** 2)
+        value = -0.5 * (self.N * np.log(rss) + np.sum(np.log(d)))
+        return value, np.array([-0.5 * rho * g]), np.array([[-0.5 * rho * (g + rho * dg)]])
 
     def argmin(self) -> float:
         """log rho at a local minimum of the profiled deviance on LOG_RHO_BOUNDS.
 
-        That is a root of the slope where it rises through zero, or a bound
-        the slope points out of.  Brent's method keeps the negative end of
-        its bracket below the positive one, so the root it returns is a minimum.
+        That is a bound the deviance's slope points out of, or else the maximum of
+        ``parts`` that ``survfit._newton`` climbs to from log rho = 0, given minus the
+        curvature's magnitude so that a step climbs also where the profile is convex, left
+        of its peak.  A failed search raises EstimationError.
         """
         lo, hi = LOG_RHO_BOUNDS
-        if self.slope(lo) >= 0.0:
+        if self.parts([lo])[1][0] <= 0.0:
             return lo
-        if self.slope(hi) <= 0.0:
+        if self.parts([hi])[1][0] >= 0.0:
             return hi
-        return _brentq(self.slope, lo, hi)
+
+        def climb(log_rho):
+            value, slope, curvature = self.parts(log_rho)
+            return value, slope, -np.abs(curvature)
+
+        log_rho, _, _, ok, message = _newton(climb, np.zeros(1), _PROFILE_GTOL)
+        if not ok:
+            raise EstimationError(f"profile search: {message}")
+        return float(log_rho[0])
 
 
 def _fit_result(label: str, names, estimates: np.ndarray, fval: float, grad: np.ndarray,
@@ -292,7 +252,7 @@ def _lmm_estimates(panel: PanelDataset, adjustment: Adjustment):
     _check_design(X, adjustment.param_names)
     profile = _Profile(X, panel)
     log_rho = profile.argmin()
-    alpha, rss, _ = profile.at(log_rho)
+    alpha, rss, _, _ = profile.at(log_rho)
     log_sigma_e = 0.5 * np.log(rss / profile.N)
     theta = np.concatenate([alpha, [log_sigma_e + 0.5 * log_rho, log_sigma_e]])
     theta.flags.writeable = X.flags.writeable = False
@@ -302,9 +262,10 @@ def _lmm_estimates(panel: PanelDataset, adjustment: Adjustment):
 def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE) -> FitResult:
     """Maximum-likelihood fit of a random-intercept LMM (models B, C, D).
 
-    log(sigma_v2 / sigma_e2) is the root of the profiled deviance's slope,
-    bracketed on LOG_RHO_BOUNDS (or its lower end, sigma_v2 -> 0, when the
-    deviance rises from there); alpha and sigma_e2 follow in closed form.
+    log(sigma_v2 / sigma_e2) minimises the profiled deviance on LOG_RHO_BOUNDS:
+    a bound (the lower one is sigma_v2 -> 0) where the deviance rises from it,
+    or else the minimum Newton's method reaches from log rho = 0; alpha and
+    sigma_e2 follow in closed form.
     Standard errors come from the inverse of the closed-form observed
     information in (alpha, log sigma_v, log sigma_e), mapped to the reported
     sigma^2 by the delta method.  ``iterations`` counts profile evaluations.

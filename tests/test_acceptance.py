@@ -24,7 +24,7 @@ from visitsim.lmm import Adjustment, design_matrix, lmm_loglik
 from visitsim.survfit import _CoxData, cox_partial_loglik, fit_andersen_gill
 
 from panel_records import subjects_of
-from test_jointfit import mc_oracle
+from test_jointfit import mc_oracle, scheduled_visit_oracle
 from test_lmm import dense_loglik
 
 K_REPS = 200
@@ -239,7 +239,7 @@ class TestCriterion4RegularVisits:
         if not zscore(b1) < -Z_CRIT:
             failures.append(f"model B bias(alpha1)={b1.bias:+.4f} not significantly negative "
                             f"(z={zscore(b1):+.2f})")
-        _, _, est = studies[name]
+        scenario, _, est = studies[name]
         # model A's converged fits, in replication order, one array per parameter
         fit_a = {param: est.est[(est.model == "A") & (est.param == param) & est.converged]
                  for param in ("gamma", "sigma_u2", "sigma_v2", "p", "lambda")}
@@ -249,14 +249,18 @@ class TestCriterion4RegularVisits:
             # the outcome-side loading gamma*sigma_u (truth 3.0) is printed
             # next to sigma_u2 (truth 1.0) to show how model A splits it; the
             # visit-process shape and scale, and the fits that end at the
-            # sigma_v2 boundary, show where the scheduled visits go
+            # sigma_v2 boundary, show where the scheduled visits go; the
+            # oracle, which censors the gaps scheduled visits cut short, shows
+            # the gamma-hat of a model A whose visit submodel is the true one
+            oracle = [scheduled_visit_oracle(scenario, rep)[0].estimate("gamma") for rep in (1, 2, 3)]
             failures.append(f"median gamma-hat {med:+.3f} not attenuated below 1.5 in magnitude "
                             f"(median gamma-hat*sigma_u-hat {np.median(gammas * np.sqrt(su2)):+.3f}, "
                             f"median sigma_u2-hat {np.median(su2):.4f}, "
                             f"median p-hat {np.median(fit_a['p']):.3f}, "
                             f"median lambda-hat {np.median(fit_a['lambda']):.4f}, "
                             f"{int(np.sum(fit_a['sigma_v2'] < 1e-6))} of {len(gammas)} model A fits "
-                            f"with sigma_v2-hat < 1e-6)")
+                            f"with sigma_v2-hat < 1e-6, oracle gamma-hat on reps 1-3 "
+                            f"{', '.join(f'{g:+.3f}' for g in oracle)})")
         report("4 (regular-visits scenario)", failures)
 
 

@@ -242,6 +242,17 @@ class TestSummarizeCommand:
         assert rc == 0
         assert out.read_bytes() == (out_dir / "performance.csv").read_bytes()
 
+    def test_config_of_another_study_refused(self, tmp_path, capsys):
+        out_dir = tmp_path / "study"
+        main(["run-study", "--config", "jm_g15_l010", "--reps", "3", "--models", "D",
+              "--out-dir", str(out_dir), "--threads", "1"])
+        out = tmp_path / "perf2.csv"
+        rc = main(["summarize", "--estimates", str(out_dir / "estimates.csv"),
+                   "--config", "gamma_lagy", "--out", str(out)])
+        assert rc == 1
+        assert "holds study 'jm_g15_l010', not the config's 'gamma_lagy'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDescribeDiagnose:
     def test_describe(self, cfg_path, tmp_path, capsys):

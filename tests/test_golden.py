@@ -45,16 +45,16 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "2187a68b89289a37e6a1677dfc8cd2ee3ae1dea27d49081961326691eff06ab7",
-    "gamma_psi2": "73be973bcfaece8d5bba1249e68e981f9176b141e8ae7ce2c865f67cfb0690bf",
-    "gamma_lagy": "24cf64d520d9b34d983be3e44bc8ea2f91e1bf8396927a1ed7b7481fc806cd6a",
-    "jm_g0_l010": "68a6a880e83303f965d862af430c79d195d3c5eaae3bee7bec24cb87546aa359",
-    "jm_g0_l030": "c62d38c76a748401c00aa79e1fd38a77a500791a465175e4f878f80b7c21de2b",
-    "jm_g0_l100": "94a7c0b667ce4c63ee312351cebec451092025742696335fca0b08e2dc81d6af",
-    "jm_g15_l010": "b5a82c3faf752837d4b301c47bd958b61b13cf87e574e95bdcff7b8f6bb1f597",
-    "jm_g15_l030": "1c430cc8b2568f6977508fd1c1e523817405e46741fc04603747efb51165ec6f",
-    "jm_g15_l100": "b72ab1c430c7d1abe4b9a4e6c51026e3c0f973aadedeed206e8854fc14c6e795",
-    "jm_g30_l005_regular": "ee99069a03bd379d3c14c4dbcafa39bf843f66feac545d857c773246216606da",
+    "gamma_psi0": "5c132f6a310da7e45bdb2040400361b889f70ba69f4ab854f5b720658d369a93",
+    "gamma_psi2": "529d5fb5b179476b8a399c130bbbc1ab6d5babacd9fca055d858884961cf0ce8",
+    "gamma_lagy": "f36b078b37c57200194f1d4461278f243dffe608bdd78adbbcfc8ef277acac8b",
+    "jm_g0_l010": "454131ea668eb9b94d86a157d9668543e328de0546614f8b72e870a3ff465e24",
+    "jm_g0_l030": "49e7b435485cc269e3e5ca29c00c277ec4dbcb2f2dc26ea9d4b3ea39d534b679",
+    "jm_g0_l100": "5ed38cc5088fad65be6e52e9276379527d18fa6bed65983c8f55d2134d16bfdb",
+    "jm_g15_l010": "64a750486cca1fda2f1b5ee2a0025b7feb2c69fa4e9444cd07cdc83ae1f61c65",
+    "jm_g15_l030": "26467824844b6825ffd445b51d755ec043ff6aad98ee5ae457fda11552ecc76c",
+    "jm_g15_l100": "51e8728aba88d3fb52475ac56fe5952840df75c65aedda8ec8f23008a19827d2",
+    "jm_g30_l005_regular": "b796120b488294a84b1f0dff8a9615a32c9d1c39d4850766227fc56a64b91425",
 }
 
 DIAGNOSE_SHA256 = {
@@ -64,9 +64,9 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "6eda5ec14ecdfab8fc4f92ed6e0b091f1537d484cb900dced48d6fe121f2115e",
-    "loglik_A.csv": "83d10960f06f8db553a31245fa4ef1c0d3ad7200e3982ee8dcba67ea67de5fda",
-    "fit_C.json": "bc685fbb95abf08713a2ba3ed9690c31b73f698fd582618e29fbedd53ed2a7ae",
+    "fit_A.json": "a8e00e0fd34e9eee6860010408bcab43da889ca26c7d34ac81d24617a491fd9a",
+    "loglik_A.csv": "a1930e0ccfe9bbce687034315c2ee9e3a46f92300531748d5fac8772dae41ba2",
+    "fit_C.json": "60c651e041e874efdaa3dca4f1e0be6a1da5d9d2b1f817877884b813a38212e8",
 }
 
 

@@ -136,8 +136,8 @@ class TestRunStudy:
                 assert got == want
 
     def test_failed_root_search_recorded_not_fatal(self, monkeypatch):
-        # Brent's method stopped after one step: every B and D fit fails, the study does not
-        monkeypatch.setattr(lmm, "_BRENT_MAX_ITER", 1)
+        # the profile search stopped after one Newton step: every B and D fit fails, the study does not
+        monkeypatch.setattr(survfit, "NEWTON_MAX_ITER", 1)
         table = run_study(small_study(models=("B", "D"), reps=2))
         assert len(table) == 2 * (6 + 5)
         assert not table.converged.any()
@@ -202,9 +202,12 @@ class TestRunStudy:
         ("s,1,Z,alpha1,0.5,0.1,1", "model 'Z' is not one of A, B, C, D, E"),
         ("s,1,D,beta,0.5,0.1,1", "model D has no parameter 'beta'"),
         ("s,0,D,alpha1,0.5,0.1,1", "rep must be >= 1, got 0"),
+        ("s,1,D,alpha1,nan,0.1,1", "a converged row needs a finite est and a finite se >= 0, got nan, 0.1"),
+        ("s,1,D,alpha1,0.5,-0.1,1", "a converged row needs a finite est and a finite se >= 0, got 0.5, -0.1"),
+        ("s,1,D,alpha1,inf,0.1,1", "a converged row needs a finite est and a finite se >= 0, got inf, 0.1"),
     ], ids=["four-fields", "rep-not-int", "converged-not-int", "est-not-float", "converged-without-est",
             "converged-without-se", "not-converged-with-est", "repeated-key", "second-scenario",
-            "unknown-model", "param-not-of-model", "rep-below-one"])
+            "unknown-model", "param-not-of-model", "rep-below-one", "nan-est", "negative-se", "infinite-est"])
     def test_read_csv_reports_malformed_rows(self, tmp_path, row, message):
         path = tmp_path / "estimates.csv"
         path.write_text("scenario,rep,model,param,est,se,converged\n"
@@ -233,7 +236,7 @@ def shuffled(table, rng):
 
 
 # one study's estimates: distinct (rep, model, param) keys in any order, with non-converged
-# rows and estimates that stress the float text round trip (-0.0, subnormals)
+# rows and estimates that stress the float text round trip (-0.0, subnormals); SEs are >= 0
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308]),
                     st.floats(-1e6, 1e6))
 # each model with a parameter of its own
@@ -247,7 +250,7 @@ def estimates_tables(draw):
     rows = []
     for rep, (model, param) in draw(st.permutations(keys)):
         converged = draw(st.booleans())
-        est, se = (draw(_FLOATS), draw(_FLOATS)) if converged else (np.nan, np.nan)
+        est, se = (draw(_FLOATS), abs(draw(_FLOATS))) if converged else (np.nan, np.nan)
         rows.append((rep, model, param, est, se, converged))
     return EstimatesTable("s", *zip(*rows))
 

@@ -428,6 +428,16 @@ def test_trust_region_step_exact_hard_case():
     np.testing.assert_allclose(p[1:], [-1.0 / 3.0, -3.0 / 5.0], rtol=1e-12)
 
 
+def scheduled_visit_oracle(config, rep):
+    """Model A on rep ``rep`` of a scheduled-visit scenario, with every process gap that a
+    scheduled visit cut short marked censored, and the share of observed gaps so marked."""
+    panel = simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(rep,)))
+    visit_ends = np.append(panel.t[1:], 0.5)   # the time each observed gap ends
+    scheduled = panel.observed & (visit_ends % config.regular_interval == 0.0)
+    oracle = dataclasses.replace(panel, observed=panel.observed & ~scheduled)
+    return fit_joint(oracle), np.mean(scheduled[panel.observed])
+
+
 def test_scheduled_visit_oracle_recovers_the_truth():
     # on jm_g30_l005_regular a scheduled visit restarts the visit process, so the process gap it
     # cuts short is censored; marked so, model A's visit submodel is the true one, and gamma-hat and
@@ -435,11 +445,8 @@ def test_scheduled_visit_oracle_recovers_the_truth():
     config = preset("jm_g30_l005_regular")
     assert config.regular_interval == 1.0 and config.regular_resets_process
     for rep in (1, 2, 3):
-        panel = simulate_panel(config, np.random.SeedSequence(config.seed, spawn_key=(rep,)))
-        visit_ends = np.append(panel.t[1:], 0.5)   # the time each observed gap ends
-        scheduled = panel.observed & (visit_ends % config.regular_interval == 0.0)
-        assert 0.5 < np.mean(scheduled[panel.observed]) < 1.0
-        fit = fit_joint(dataclasses.replace(panel, observed=panel.observed & ~scheduled))
+        fit, scheduled_share = scheduled_visit_oracle(config, rep)
+        assert 0.5 < scheduled_share < 1.0
         assert fit.converged
         assert abs(fit.estimate("gamma") - config.gamma) < 3.0 * fit.se("gamma"), rep
         assert abs(fit.estimate("sigma_u2") - config.sigma_u2) < 3.0 * fit.se("sigma_u2"), rep

@@ -1,3 +1,4 @@
+import dataclasses
 from importlib import resources
 
 import numpy as np
@@ -11,7 +12,7 @@ from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError
 from visitsim.jointfit import GRAD_TOL
-from visitsim.lmm import (LOG_RHO_BOUNDS, Adjustment, _brentq, _evaluate, _fit_result, _lmm_estimates, _Profile,
+from visitsim.lmm import (LOG_RHO_BOUNDS, Adjustment, _evaluate, _fit_result, _lmm_estimates, _Profile,
                           design_matrix, fit_lmm, lmm_loglik)
 
 
@@ -281,27 +282,46 @@ class TestConvergenceRule:
         np.testing.assert_allclose(fit.std_errors, [np.sqrt(2.0 / 7.0), 4.0 * np.sqrt(4.0 / 7.0)], rtol=1e-14)
 
 
-@pytest.mark.parametrize("name", PRESETS)
-def test_brent_port_finds_scipys_root_bit_for_bit(name):
-    # the profile's root of B, C and D on reps 1-5, and the calls of the slope it took
-    cfg = preset(name)
+def interior_root(profile):
+    """scipy's brentq on the profile's slope, or None where the minimum lies at a bound."""
     lo, hi = LOG_RHO_BOUNDS
+
+    def slope(log_rho):
+        return profile.parts([log_rho])[1][0]
+
+    return scipy.optimize.brentq(slope, lo, hi) if slope(lo) > 0.0 > slope(hi) else None
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_profile_search_finds_scipys_root(name):
+    # B, C and D on reps 1-5: each interior minimum of the profiled deviance within 1e-10 of
+    # scipy's root of its slope, found in at most 10 profile evaluations on average, where the
+    # curvature matches central differences of the slope
+    cfg = preset(name)
+    evaluations = []
     for rep in range(1, 6):
         panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
         for adjustment in Adjustment:
             profile = _Profile(design_matrix(panel, adjustment), panel)
-            if not profile.slope(lo) < 0.0 < profile.slope(hi):
+            log_rho = profile.argmin()
+            calls = profile.evaluations
+            root = interior_root(profile)
+            if root is None:
                 continue
-            before = profile.evaluations
-            root = _brentq(profile.slope, lo, hi)
-            calls = profile.evaluations - before
-            assert root == scipy.optimize.brentq(profile.slope, lo, hi), (rep, adjustment)
-            assert profile.evaluations - before - calls == calls
+            evaluations.append(calls)
+            assert abs(log_rho - root) <= 1e-10, (rep, adjustment)
+            fd = central_difference_information(profile.parts, np.array([log_rho]))
+            assert profile.parts([log_rho])[2] == pytest.approx(fd, rel=1e-6), (rep, adjustment)
+    assert np.mean(evaluations) <= 10.0
 
 
-def test_brent_port_checks_its_input():
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: x if x < 0.5 else np.nan, -1.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    assert _brentq(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+def test_profile_search_climbs_where_the_profile_is_convex():
+    # with sigma_v2 = 0.01, Newton's first step from log rho = 0 lands left of the peak, where
+    # the profile is convex; the search must still climb to the peak
+    cfg = dataclasses.replace(preset("jm_g0_l100"), sigma_v2=0.01)
+    panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+    profile = _Profile(design_matrix(panel, Adjustment.NONE), panel)
+    _, slope, curvature = profile.parts([0.0])
+    first_point = -slope[0] / curvature[0, 0]
+    assert profile.parts([first_point])[2][0, 0] > 0.0
+    assert abs(profile.argmin() - interior_root(profile)) <= 1e-10

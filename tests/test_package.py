@@ -65,18 +65,21 @@ def test_cli_import_leaves_scipy_optimize_and_stats_out():
 
 
 def test_diagnose_loads_no_scipy(tmp_path):
-    # numpy is the one runtime dependency: a simulated panel's diagnostics import no scipy module
-    panel, out = tmp_path / "panel.csv", tmp_path / "diag.json"
+    # numpy is the one runtime dependency: a simulated panel's diagnostics and a study that fits
+    # all five models import no scipy module
+    panel, out, study = tmp_path / "panel.csv", tmp_path / "diag.json", tmp_path / "study"
     code = ("import sys\n"
             "from visitsim import cli\n"
             f"assert cli.main(['simulate', '--config', 'jm_g15_l010', '--out', {str(panel)!r}]) == 0\n"
             f"assert cli.main(['diagnose', '--panel', {str(panel)!r}, '--permutations', '19', "
             f"'--out', {str(out)!r}]) == 0\n"
+            f"assert cli.main(['run-study', '--config', 'jm_g15_l010', '--reps', '2', '--threads', '1', "
+            f"'--models', 'A,B,C,D,E', '--out-dir', {str(study)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(visitsim.__file__))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stderr.strip() == "[]"
-    assert out.exists()
+    assert out.exists() and (study / "estimates.csv").exists()
 
 
 @pytest.mark.parametrize("fit", [fit_model, fit_joint, fit_lmm, fit_iivw], ids=lambda fit: fit.__name__)
