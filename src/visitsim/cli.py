@@ -31,12 +31,9 @@ from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_i
                       fit_model, run_study, summarize)
 from .jointfit import subject_log_contributions
 
-PRESETS = (
-    "gamma_psi0", "gamma_psi2", "gamma_lagy",
-    "jm_g0_l010", "jm_g0_l030", "jm_g0_l100",
-    "jm_g15_l010", "jm_g15_l030", "jm_g15_l100",
-    "jm_g30_l005_regular",
-)
+# the shipped presets: the names of the package's presets/*.cfg files
+PRESETS = tuple(sorted(entry.name[:-4] for entry in resources.files("visitsim").joinpath("presets").iterdir()
+                       if entry.name.endswith(".cfg")))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,7 +187,7 @@ def _cmd_diagnose(args) -> int:
         print(f"Andersen-Gill HR = {diag.ag_hazard_ratio:.4f} "
               f"(95% CI {diag.ag_hr_ci[0]:.4f} - {diag.ag_hr_ci[1]:.4f})")
     else:
-        print(f"covariate {args.covariate!r} is constant; diagnostics not applicable")
+        print(f"covariate {args.covariate!r} or the observed gap length is constant; diagnostics not applicable")
     print(f"wrote {args.out}")
     return EXIT_OK
 

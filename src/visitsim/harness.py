@@ -376,7 +376,8 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
     ``covariate`` is either ``"z"`` (the panel's treatment indicator) or a
     mapping from subject id to a numeric value.  The permutation test
     shuffles the covariate at the subject level, which respects the
-    within-subject correlation of gap times.
+    within-subject correlation of gap times.  Neither check applies (its
+    figures are NaN) where the covariate or the observed gap length is constant.
     """
     if panel.n_subjects < 2:
         raise ValidationError("diagnostics need at least 2 subjects")
@@ -395,7 +396,7 @@ def diagnose_informativeness(panel: PanelDataset, covariate="z",
     gaps = panel.gaps[panel.observed]
     covs = np.repeat(values, panel.counts)[panel.observed]
 
-    if np.all(covs == covs[0]):
+    if np.all(covs == covs[0]) or np.all(gaps == gaps[0]):
         return InformativenessDiagnostics(name, False, len(gaps), float("nan"), float("nan"),
                                           float("nan"), (float("nan"), float("nan")), False)
 

@@ -17,14 +17,13 @@ the exact observed information follow from posterior moments of the frailty
 at the nodes (Louis, JRSS-B 1982).  An evaluation is two passes: ``_value``
 gives the likelihood and keeps its intermediates, and ``_derivatives``
 continues from them to the score and information; ``_evaluate`` is the two
-together.  ``fit_joint`` is a trust-region Newton method on that
-information (``_trust_region_step``: the Moré-Sorensen step from one
-eigendecomposition per accepted point), started from model D's profiled
-point estimates and a Weibull fit.  A trial point costs the value pass
-alone; the derivative pass runs only where a step is accepted.  There are no
-finite differences.  The fit's convergence rule and delta-method standard
-errors are those of models B to D: ``lmm._fit_result``, on the same
-information.
+together.  ``fit_joint`` maximises the likelihood with the package's one
+optimiser, ``survfit._maximise`` (trust-region Newton on that information),
+started from model D's profiled point estimates and a Weibull fit.  A trial
+point costs the value pass alone; the derivative pass runs only where a step
+is accepted.  There are no finite differences.  The fit's convergence rule
+and delta-method standard errors are those of models B to D:
+``lmm._fit_result``, on the same information.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError, ValidationError
 from .lmm import LOG_2PI, Adjustment, _fit_result, _lmm_estimates, design_matrix, lmm_loglik
-from .survfit import _CoxData, fit_weibull_ph
+from .survfit import _CoxData, _maximise, fit_weibull_ph
 
 PARAM_NAMES = ("beta", "lambda", "p", "alpha0", "alpha1", "alpha2",
                "gamma", "sigma_u2", "sigma_v2", "sigma_e2")
@@ -51,15 +50,7 @@ _C = np.array([_LOG_SCALE.get(k, 1.0) for k in PARAM_NAMES])
 _MODE_TOL = 1e-11
 _MODE_MAX_ITER = 80
 _U_BOUND = 60.0
-# the fit's iteration limit and score tolerance; the trust region: acceptance ratio, largest
-# radius, and the tolerance, iteration limit and floor of the step's secular equation
-MAX_ITER = 500
-GRAD_TOL = 1e-6
-_ETA = 0.15
-_MAX_RADIUS = 1000.0
-_STEP_RTOL = 1e-10
-_STEP_MAX_ITER = 100
-_TINY = np.finfo(float).tiny
+GRAD_TOL = 1e-6   # the fit's score tolerance
 _LOWER = np.tril_indices(10, -1)
 
 
@@ -342,61 +333,14 @@ def _starting_theta(panel: PanelDataset, data: _JointData) -> np.ndarray:
                      np.log(0.5), 0.5 * np.log(sv2), 0.5 * np.log(se2)])
 
 
-def _trust_region_step(w: np.ndarray, V: np.ndarray, g: np.ndarray, radius: float):
-    """(p, lam): the minimiser p of g'p + p'Bp/2 over |p| <= ``radius``, B = V diag(w) V'.
-
-    ``w`` and ``V`` are ``np.linalg.eigh(B)``'s, ``w`` ascending.  The step
-    solves (B + lam I) p = -g with lam >= 0, B + lam I positive semi-definite
-    and lam (radius - |p|) = 0 (Moré & Sorensen, SIAM J Sci Stat Comput 1983):
-    the Newton step if B is positive definite and the step fits, otherwise
-    |p| = radius.  In the eigenbasis |p|^2 is a sum over the eigenvalues, and
-    lam comes from Newton's method on 1/|p| - 1/radius, which is concave in lam
-    and so approached monotonically from below.  In the hard case (g orthogonal to
-    the lowest eigenvector and the step at lam = -w[0] too short) the step is
-    completed along that eigenvector.
-    """
-    gt = V.T @ g
-    if w[0] > 0.0:
-        p = gt / w
-        if p @ p <= radius * radius:
-            return -(V @ p), 0.0
-    # mu = lam + w[0], the lowest eigenvalue of B + lam I, is kept apart from the spread
-    # w - w[0] so that a tiny mu (the near-hard case) loses no precision
-    spread = w - w[0]
-    # both starts are below the root: lam = 0 with the Newton step too long, or the lowest
-    # eigenvector's part of the step alone as long as the radius
-    mu = w[0] if w[0] > 0.0 else abs(gt[0]) / radius
-    for _ in range(_STEP_MAX_ITER):
-        d = np.maximum(spread + mu, _TINY)
-        p = gt / d
-        norm = np.sqrt(p @ p)
-        if norm <= radius * (1.0 + _STEP_RTOL):
-            break
-        mu += (norm * norm / (p @ (p / d))) * (norm - radius) / radius
-    if norm < radius and mu == 0.0:
-        p[0] = np.sqrt(radius * radius - norm * norm)    # the hard case
-    elif norm > radius:
-        p *= radius / norm
-    return -(V @ p), mu - w[0]
-
-
 def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
     """Maximum likelihood fit of the joint model (model A) with an ``order``-node rule.
 
-    A trust-region Newton method on the exact observed information, from
-    model D's and a Weibull fit's estimates; the same information gives the
-    standard errors.  Each iteration takes the Moré-Sorensen step from one
-    eigendecomposition of the information at the current point and prices the
-    trial point at the likelihood alone; the score and information are built
-    only where a step is accepted, when the actual over the predicted gain
-    exceeds 0.15.  The radius starts at 1, doubles (up to 1000) when that ratio
-    exceeds 0.75 on the boundary, and becomes a quarter of min(radius, |step|)
-    below 0.25 (Nocedal & Wright, Numerical Optimization 2006, Alg. 4.1).  The
-    fit stops when |score| < GRAD_TOL, after MAX_ITER iterations, or when the
-    quadratic model predicts no gain within the rounding of the likelihood;
-    ``iterations`` counts trust-region iterations and the message names the
-    stop.  A trial point with a non-finite likelihood or score is rejected; a
-    non-finite information where the score is finite raises EstimationError.
+    ``survfit._maximise`` on the exact observed information, from model D's
+    and a Weibull fit's estimates, until |score| < GRAD_TOL; the same
+    information gives the standard errors.  ``iterations`` counts trust-region
+    iterations and the message names the loop's stop.  A non-finite
+    information where the score is finite raises EstimationError.
     """
     data = _JointData(panel, order)
     if panel.n_subjects < 2:
@@ -405,49 +349,18 @@ def fit_joint(panel: PanelDataset, order: int = 25) -> FitResult:
         warnings.warn("fewer than one observed gap per subject on average; "
                       "the visit submodel is weakly identified", stacklevel=2)
 
-    def derivatives(pt):
-        """(score, information) of the negative log likelihood at ``pt``'s point; None, None for a non-finite score."""
-        grad, hess = _derivatives(data, pt, 2)
+    def derivatives(result):
+        """The score and Hessian at the point of ``_value``'s ``result``; None, None for a non-finite score."""
+        grad, hess = _derivatives(data, result[2], 2)
         if not np.all(np.isfinite(grad)):
             return None, None
         if not np.all(np.isfinite(hess)):
             raise EstimationError("non-finite observed information")
-        return -grad, -hess
+        return grad, hess
 
-    theta = _starting_theta(panel, data)
-    ll, _, pt = _value(theta, data)
-    f, (g, B) = -ll, derivatives(pt)
-    radius, iterations, eig = 1.0, 0, None
-    reason = "score below tolerance"
-    if not np.isfinite(f) or g is None:
-        f, g, reason = np.inf, np.zeros(len(theta)), "non-finite likelihood or score at the start"
-    while np.linalg.norm(g) >= GRAD_TOL:
-        if iterations == MAX_ITER:
-            reason = "iteration limit reached"
-            break
-        if eig is None:
-            eig = np.linalg.eigh(B)
-        p, lam = _trust_region_step(*eig, g, radius)
-        # as computed, a prediction below the rounding of f reads as no gain
-        predicted = f - (f + (g @ p + 0.5 * (p @ (B @ p))))
-        if predicted <= 0.0:
-            reason = "no predicted gain"
-            break
-        ll, _, pt = _value(theta + p, data)
-        rho = (f + ll) / predicted if np.isfinite(ll) else -np.inf
-        if rho > _ETA:
-            # a point whose score is not finite is rejected like one whose likelihood is not
-            g_new, B_new = derivatives(pt)
-            if g_new is None:
-                rho = -np.inf
-        if rho < 0.25:
-            radius = 0.25 * min(radius, np.sqrt(p @ p))
-        elif rho > 0.75 and lam > 0.0:
-            radius = min(2.0 * radius, _MAX_RADIUS)
-        if rho > _ETA:
-            theta, f, g, B, eig = theta + p, -ll, g_new, B_new, None
-        iterations += 1
+    theta, ll, grad, hess, iterations, reason = _maximise(lambda th: _value(th, data), derivatives,
+                                                          _starting_theta(panel, data), GRAD_TOL)
     estimates = _natural(theta)
     # d value / d theta is c * value for a scale parameter, 1 for the others
-    return _fit_result("A", PARAM_NAMES, estimates, f, g, B, np.where(_IS_LOG, _C * estimates, 1.0), iterations,
-                       f"optimizer: {reason}")
+    return _fit_result("A", PARAM_NAMES, estimates, -ll, grad, -hess, np.where(_IS_LOG, _C * estimates, 1.0),
+                       iterations, f"optimizer: {reason}")

@@ -8,7 +8,7 @@ subject is sigma_v2 * J + sigma_e2 * I.  For a fixed ratio
 rho = sigma_v2 / sigma_e2 the maximum-likelihood alpha is a generalised
 least-squares solution and sigma_e2 is RSS / N, so a fit is a one-dimensional
 search over log rho of the profiled deviance (Bates, Maechler, Bolker & Walker,
-J Stat Softw 2015, section 3.4) by ``survfit``'s Newton loop, on per-subject sums.
+J Stat Softw 2015, section 3.4) by ``survfit._maximise``, on per-subject sums.
 ``_evaluate`` gives the likelihood, gradient and observed information from
 one pass over the per-subject residual sums (rank-one Woodbury identities),
 so its cost is linear in the number of rows.  ``_fit_result`` holds the one
@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import FitResult, PanelDataset
 from .errors import EstimationError
-from .survfit import _newton
+from .survfit import _PARTS_DERIVATIVES, CONVERGED, _maximise
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -167,7 +167,7 @@ class _Profile:
 
     def parts(self, log_rho):
         """Minus half the profiled deviance N log RSS + sum log(1 + n_i rho), with its slope
-        and curvature in log rho, as ``survfit._newton`` takes them at the 1-vector ``log_rho``.
+        and curvature in log rho, as ``survfit._maximise`` takes them at the 1-vector ``log_rho``.
 
         With d_i = 1 + n_i rho, dRSS/drho = -sum (s_i / d_i)^2, as alpha-hat's own motion
         drops out at its optimum; the curvature needs dalpha/drho = -A^-1 sum xbar_i s_i / d_i^2.
@@ -188,23 +188,18 @@ class _Profile:
         """log rho at a local minimum of the profiled deviance on LOG_RHO_BOUNDS.
 
         That is a bound the deviance's slope points out of, or else the maximum of
-        ``parts`` that ``survfit._newton`` climbs to from log rho = 0, given minus the
-        curvature's magnitude so that a step climbs also where the profile is convex, left
-        of its peak.  A failed search raises EstimationError.
+        ``parts`` that ``survfit._maximise`` reaches from log rho = 0; where the
+        profile is convex, left of its peak, the trust-region step still goes uphill.
+        A failed search raises EstimationError.
         """
         lo, hi = LOG_RHO_BOUNDS
         if self.parts([lo])[1][0] <= 0.0:
             return lo
         if self.parts([hi])[1][0] >= 0.0:
             return hi
-
-        def climb(log_rho):
-            value, slope, curvature = self.parts(log_rho)
-            return value, slope, -np.abs(curvature)
-
-        log_rho, _, _, ok, message = _newton(climb, np.zeros(1), _PROFILE_GTOL)
-        if not ok:
-            raise EstimationError(f"profile search: {message}")
+        log_rho, *_, reason = _maximise(self.parts, _PARTS_DERIVATIVES, np.zeros(1), _PROFILE_GTOL)
+        if reason != CONVERGED:
+            raise EstimationError(f"profile search: {reason}")
         return float(log_rho[0])
 
 
@@ -264,7 +259,7 @@ def fit_lmm(panel: PanelDataset, adjustment: Adjustment = Adjustment.NONE) -> Fi
 
     log(sigma_v2 / sigma_e2) minimises the profiled deviance on LOG_RHO_BOUNDS:
     a bound (the lower one is sigma_v2 -> 0) where the deviance rises from it,
-    or else the minimum Newton's method reaches from log rho = 0; alpha and
+    or else the minimum ``survfit._maximise`` reaches from log rho = 0; alpha and
     sigma_e2 follow in closed form.
     Standard errors come from the inverse of the closed-form observed
     information in (alpha, log sigma_v, log sigma_e), mapped to the reported

@@ -5,26 +5,40 @@ partial likelihood treats every gap as one risk interval on the renewal
 clock: the risk set at an event gap g contains all gaps (observed or
 censored) with length >= g.  Ties are handled with the Breslow
 approximation.  ``_jackknife_cov`` gives a leave-one-subject-out grouped
-jackknife covariance from one-step Newton replicates.  One Newton loop serves
-this fit and the marginal Weibull PH fit behind model A's start values.
+jackknife covariance from one-step Newton replicates.
+
+``_maximise`` is the package's one optimiser, a trust-region Newton method on
+the exact Hessian.  It fits this model, the marginal Weibull PH fit behind
+model A's start values, model A itself and the profile search of models B to D.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError
 
-NEWTON_MAX_ITER = 60
 DIVERGENCE_BOUND = 30.0
+# the optimiser: its iteration limit and its stop at the score tolerance; the trust region's acceptance
+# ratio and largest radius; the tolerance, iteration limit and floor of the step's secular equation
+MAX_ITER = 500
+CONVERGED = "score below tolerance"
+_ETA = 0.15
+_MAX_RADIUS = 1000.0
+_STEP_RTOL = 1e-10
+_STEP_MAX_ITER = 100
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+_PARTS_DERIVATIVES = operator.itemgetter(1, 2)   # the score and Hessian of a (value, score, Hessian) tuple
 
 
 def _grad_tol(n_events: int) -> float:
-    # cumsum-based risk sums carry O(n*eps) rounding noise; stay above it but
-    # well inside the documented 1e-6 bound
-    return min(1e-8 * max(1.0, float(n_events)) ** 0.5, 1e-7)
+    # cumsum-based risk sums carry O(n*eps) rounding noise (about 2e-7 on 3e5 gaps); stay above it
+    return min(1e-8 * max(1.0, float(n_events)) ** 0.5, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -106,38 +120,99 @@ def cox_partial_loglik(eta, data: _CoxData):
     return _loglik_grad_hess(data, np.atleast_1d(np.asarray(eta, dtype=float)))
 
 
-def _newton(parts, eta: np.ndarray, tol: float):
-    """Maximise ``parts(eta) -> (loglik, grad, hess)`` from ``eta`` until max|grad| < ``tol``.
+def _trust_region_step(w: np.ndarray, V: np.ndarray, g: np.ndarray, radius: float):
+    """(p, lam): the minimiser p of g'p + p'Bp/2 over |p| <= ``radius``, B = V diag(w) V'.
 
-    Returns (eta, loglik, iterations, ok, message).
+    ``w`` and ``V`` are ``np.linalg.eigh(B)``'s, ``w`` ascending.  The step
+    solves (B + lam I) p = -g with lam >= 0, B + lam I positive semi-definite
+    and lam (radius - |p|) = 0 (Moré & Sorensen, SIAM J Sci Stat Comput 1983):
+    the Newton step if B is positive definite and the step fits, otherwise
+    |p| = radius.  In the eigenbasis |p|^2 is a sum over the eigenvalues, and
+    lam comes from Newton's method on 1/|p| - 1/radius, which is concave in lam
+    and so approached monotonically from below.  In the hard case (g orthogonal to
+    the lowest eigenvector and the step at lam = -w[0] too short) the step is
+    completed along that eigenvector.
     """
-    loglik, grad, hess = parts(eta)
-    noise = 1e-10 * (1.0 + abs(loglik))
-    it = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if np.max(np.abs(grad)) < tol:
+    gt = V.T @ g
+    if w[0] > 0.0:
+        p = gt / w
+        if p @ p <= radius * radius:
+            return -(V @ p), 0.0
+    # mu = lam + w[0], the lowest eigenvalue of B + lam I, is kept apart from the spread
+    # w - w[0] so that a tiny mu (the near-hard case) loses no precision
+    spread = w - w[0]
+    # both starts are below the root: lam = 0 with the Newton step too long, or the lowest
+    # eigenvector's part of the step alone as long as the radius
+    mu = w[0] if w[0] > 0.0 else abs(gt[0]) / radius
+    for _ in range(_STEP_MAX_ITER):
+        d = np.maximum(spread + mu, _TINY)
+        p = gt / d
+        norm = np.sqrt(p @ p)
+        if norm <= radius * (1.0 + _STEP_RTOL):
             break
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            return eta, loglik, it, False, "singular information matrix"
-        scale = 1.0
-        for _ in range(30):
-            cand = eta + scale * step
-            cand_ll, cand_g, cand_h = parts(cand)
-            if cand_ll >= loglik - noise:
-                eta, loglik, grad, hess = cand, cand_ll, cand_g, cand_h
-                break
-            scale *= 0.5
+        mu += (norm * norm / (p @ (p / d))) * (norm - radius) / radius
+    if norm < radius and mu == 0.0:
+        p[0] = np.sqrt(radius * radius - norm * norm)    # the hard case
+    elif norm > radius:
+        p *= radius / norm
+    return -(V @ p), mu - w[0]
+
+
+def _maximise(value, derivatives, theta: np.ndarray, tol: float):
+    """Maximise a smooth function by trust-region Newton from ``theta`` until |score| < ``tol``.
+
+    ``value(theta)`` returns a tuple whose first entry is the function's value
+    there, and ``derivatives`` maps that tuple to the score and Hessian at its
+    point, or to (None, None) where the score is not finite.  So a trial point
+    costs ``value`` alone, and ``derivatives`` runs only where a step is accepted.
+    Each iteration takes the Moré-Sorensen step (``_trust_region_step``) from
+    one eigendecomposition of the Hessian at the current point.  The step is
+    accepted when the actual over the predicted gain, g'p + p'Hp/2, exceeds 0.15,
+    or when both lie within 1e-10 (1 + |value|), the rounding of the value.  The
+    radius starts at 1, doubles (up to 1000) when that ratio exceeds 0.75 on the
+    boundary, and becomes a quarter of min(radius, |step|) below 0.25 (Nocedal &
+    Wright, Numerical Optimization 2006, Alg. 4.1).  A trial point with a
+    non-finite value or score is rejected.  The loop stops when |score| < ``tol``
+    (the reason is CONVERGED), after MAX_ITER iterations, or when the step is
+    below the rounding of theta ("no predicted gain").
+
+    Returns (theta, value, score, Hessian, iterations, reason).
+    """
+    point = value(theta)
+    f, (g, H) = point[0], derivatives(point)
+    if not math.isfinite(f) or g is None:
+        n = len(theta)
+        return theta, -np.inf, np.zeros(n), np.zeros((n, n)), 0, "non-finite likelihood or score at the start"
+    radius, iterations, eig, reason = 1.0, 0, None, CONVERGED
+    while math.sqrt(g @ g) >= tol:
+        if iterations == MAX_ITER:
+            reason = "iteration limit reached"
+            break
+        if eig is None:
+            eig = np.linalg.eigh(-H)
+        p, lam = _trust_region_step(*eig, -g, radius)
+        if p @ p <= (_EPS * (1.0 + math.sqrt(theta @ theta))) ** 2:
+            reason = "no predicted gain"
+            break
+        predicted = g @ p + 0.5 * (p @ (H @ p))
+        point = value(theta + p)
+        actual, noise = point[0] - f, 1e-10 * (1.0 + abs(f))
+        if abs(actual) <= noise and abs(predicted) <= noise:
+            rho = 1.0
         else:
-            return eta, loglik, it, False, "step halving failed"
-        if np.max(np.abs(eta)) > DIVERGENCE_BOUND:
-            return eta, loglik, it, False, "monotone likelihood: estimate diverging"
-    ok = np.max(np.abs(grad)) < 1e-6
-    if ok and np.min(np.linalg.eigvalsh(-hess)) < 1e-8:
-        # the likelihood flattened out instead of peaking: no interior maximum
-        return eta, loglik, it, False, "monotone likelihood: information vanishes"
-    return eta, loglik, it, ok, "" if ok else "gradient tolerance not reached"
+            rho = actual / predicted if predicted > 0.0 and math.isfinite(point[0]) else -np.inf
+        if rho > _ETA:
+            g_new, H_new = derivatives(point)
+            if g_new is None:
+                rho = -np.inf
+        if rho < 0.25:
+            radius = 0.25 * min(radius, math.sqrt(p @ p))
+        elif rho > 0.75 and lam > 0.0:
+            radius = min(2.0 * radius, _MAX_RADIUS)
+        if rho > _ETA:
+            theta, f, g, H, eig = theta + p, point[0], g_new, H_new, None
+        iterations += 1
+    return theta, f, g, H, iterations, reason
 
 
 def _jackknife_cov(data: _CoxData, eta: np.ndarray) -> np.ndarray:
@@ -166,7 +241,7 @@ def _jackknife_cov(data: _CoxData, eta: np.ndarray) -> np.ndarray:
 
 
 def fit_andersen_gill(data: _CoxData) -> CoxFit:
-    """Fit the recurrent-events Cox model by Newton-Raphson with step halving.
+    """Fit the recurrent-events Cox model by ``_maximise`` from eta = 0.
 
     ``data`` is a panel's gaps as built by ``_CoxData.from_panel``.  Only the
     coefficients are estimated; ``_jackknife_cov`` gives their covariance.
@@ -182,10 +257,15 @@ def fit_andersen_gill(data: _CoxData) -> CoxFit:
         return CoxFit(eta, loglik, True, data.n_events, 0,
                       message="no covariate contrast; partial likelihood constant in eta")
 
-    # _newton reports ok only where -hess is positive definite
-    eta, loglik, iters, ok, msg = _newton(lambda e: _loglik_grad_hess(data, e), np.zeros(data.d),
-                                          _grad_tol(data.n_events))
-    return CoxFit(eta, loglik, bool(ok), data.n_events, iters, message=msg)
+    eta, loglik, _, hess, iters, reason = _maximise(lambda e: _loglik_grad_hess(data, e), _PARTS_DERIVATIVES,
+                                                    np.zeros(data.d), _grad_tol(data.n_events))
+    ok = reason == CONVERGED
+    if ok and np.max(np.abs(eta)) > DIVERGENCE_BOUND:
+        ok, reason = False, "monotone likelihood: estimate diverging"
+    elif ok and np.min(np.linalg.eigvalsh(-hess)) < 1e-6:
+        # the likelihood flattened out instead of peaking: no interior maximum
+        ok, reason = False, "monotone likelihood: information vanishes"
+    return CoxFit(eta, loglik, ok, data.n_events, iters, message="" if ok else reason)
 
 
 # --- Weibull proportional-hazards regression (marginal, no frailty) ---------
@@ -210,12 +290,12 @@ def _weibull_loglik_grad_hess(data: _CoxData, theta: np.ndarray):
 def fit_weibull_ph(data: _CoxData):
     """MLE of a marginal Weibull PH model on gaps: hazard lam*p*t^(p-1)*exp(z'beta).
 
-    Used for starting values of the joint fit.  Returns (lam, p, beta, ok).  The Andersen-Gill
-    fit's Newton loop maximises it in (log lam, log p, beta) from the exponential fit.
+    Used for starting values of the joint fit.  Returns (lam, p, beta, ok).  ``_maximise``
+    maximises it in (log lam, log p, beta) from the exponential fit.
     """
     if data.n_events == 0:
         raise EstimationError("no events: every gap record is censored")
     theta0 = np.concatenate([[np.log(max(data.n_events / np.sum(data.gaps), 1e-8)), 0.0], np.zeros(data.d)])
-    theta, _, _, ok, _ = _newton(lambda th: _weibull_loglik_grad_hess(data, th), theta0,
-                                 _grad_tol(data.n_events))
-    return float(np.exp(theta[0])), float(np.exp(theta[1])), theta[2:], bool(ok)
+    theta, *_, reason = _maximise(lambda th: _weibull_loglik_grad_hess(data, th), _PARTS_DERIVATIVES, theta0,
+                                  _grad_tol(data.n_events))
+    return float(np.exp(theta[0])), float(np.exp(theta[1])), theta[2:], reason == CONVERGED

@@ -276,6 +276,7 @@ class TestDescribeDiagnose:
 
 class TestPresets:
     def test_all_presets_parse(self, tmp_path):
+        assert len(PRESETS) == 10   # every shipped presets/*.cfg, found at import
         for name in PRESETS:
             out = tmp_path / f"{name}.csv"
             rc = main(["simulate", "--config", name, "--seed", "5", "--out", str(out)])

@@ -45,27 +45,27 @@ tag = jm_g30_l005_additive
 ADDITIVE_PANEL_SHA256 = "b55742525c482ecb5b585f529e98f0cfedee5585052d926846a62eee62390b86"
 
 ESTIMATES_SHA256 = {
-    "gamma_psi0": "5c132f6a310da7e45bdb2040400361b889f70ba69f4ab854f5b720658d369a93",
-    "gamma_psi2": "529d5fb5b179476b8a399c130bbbc1ab6d5babacd9fca055d858884961cf0ce8",
-    "gamma_lagy": "f36b078b37c57200194f1d4461278f243dffe608bdd78adbbcfc8ef277acac8b",
-    "jm_g0_l010": "454131ea668eb9b94d86a157d9668543e328de0546614f8b72e870a3ff465e24",
-    "jm_g0_l030": "49e7b435485cc269e3e5ca29c00c277ec4dbcb2f2dc26ea9d4b3ea39d534b679",
-    "jm_g0_l100": "5ed38cc5088fad65be6e52e9276379527d18fa6bed65983c8f55d2134d16bfdb",
-    "jm_g15_l010": "64a750486cca1fda2f1b5ee2a0025b7feb2c69fa4e9444cd07cdc83ae1f61c65",
-    "jm_g15_l030": "26467824844b6825ffd445b51d755ec043ff6aad98ee5ae457fda11552ecc76c",
-    "jm_g15_l100": "51e8728aba88d3fb52475ac56fe5952840df75c65aedda8ec8f23008a19827d2",
-    "jm_g30_l005_regular": "b796120b488294a84b1f0dff8a9615a32c9d1c39d4850766227fc56a64b91425",
+    "gamma_psi0": "d76578022a194a797d7f64a1638caf66ff07ac05cf4b8b38cf606f2d865695a6",
+    "gamma_psi2": "9ba3df01167936a3b86cb9c87df7a03a4f683e1901d2fc000137814ab5a6ee8b",
+    "gamma_lagy": "23dedcc68bd8ef6f05506b377c753bcd2657353117c22c97c60cebd303e91e84",
+    "jm_g0_l010": "2dbf4f2d90a04e9e4b69351af362318222e9ff65800901c5eb74c4427f6520c2",
+    "jm_g0_l030": "85198e23d13a6b21e52517ca55cc2a6ba9260e199128e7764d45bd15c7da2239",
+    "jm_g0_l100": "8daaed7d17903d930c0829d296978d824d8e37c7a6ff4f6ebe34ad6a5a4db8a1",
+    "jm_g15_l010": "8e289fa92454bf9a8e532579d71674014e8fbaf022955e591b52128619f05805",
+    "jm_g15_l030": "4bdfc122bf2ca9a90dfb8e42d60ba9ad80da82f1acda46decdb70ea76b066938",
+    "jm_g15_l100": "a27e631c33014fdceb9374d61ec18f983f7e3d34cbc8ff94391841cb81f7bddd",
+    "jm_g30_l005_regular": "7c424b46d3891d779bf6ce22e6a96ad9168fcb2004b9f557580bd126960e934d",
 }
 
 DIAGNOSE_SHA256 = {
     "jm_g15_l030": "a6f7ba459395f9a7d8584a6fdc5698e31a39cd769e19a82535276da9c834bb8c",
-    "gamma_psi2": "f070c0c11357bef004733bac3ce389dac284f50d1ea955249446497ebe62290d",
+    "gamma_psi2": "aeb24e9993c13947c2e9ceb639a669fc75be4a459cb21eafdc61923d54fda4d0",
     "jm_g0_l100": "7f886b0723754e2c98729bf5d3286e08e382ac1ad3392d4e412ef8e46c5adab2",
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "a8e00e0fd34e9eee6860010408bcab43da889ca26c7d34ac81d24617a491fd9a",
-    "loglik_A.csv": "a1930e0ccfe9bbce687034315c2ee9e3a46f92300531748d5fac8772dae41ba2",
+    "fit_A.json": "d26a00a4a69207f505ffe0f748b591298eb7cac76a9113a998187622d3adbf2f",
+    "loglik_A.csv": "7274ac2645ed6440ce7f23a523413f059dc5ba8249f604821d3d62e82321f522",
     "fit_C.json": "60c651e041e874efdaa3dca4f1e0be6a1da5d9d2b1f817877884b813a38212e8",
 }
 

@@ -136,8 +136,8 @@ class TestRunStudy:
                 assert got == want
 
     def test_failed_root_search_recorded_not_fatal(self, monkeypatch):
-        # the profile search stopped after one Newton step: every B and D fit fails, the study does not
-        monkeypatch.setattr(survfit, "NEWTON_MAX_ITER", 1)
+        # the profile search stopped after one iteration: every B and D fit fails, the study does not
+        monkeypatch.setattr(survfit, "MAX_ITER", 1)
         table = run_study(small_study(models=("B", "D"), reps=2))
         assert len(table) == 2 * (6 + 5)
         assert not table.converged.any()
@@ -399,6 +399,16 @@ class TestDiagnose:
         diag = diagnose_informativeness(panel_of(subs), n_permutations=99)
         assert not diag.applicable
         assert np.isnan(diag.spearman_rho)
+
+    def test_constant_gaps_inapplicable(self):
+        # every observed gap is 1.0: no rank contrast, so no significance and no hazard ratio
+        subs = [Record(i, i % 2, 3.5, [0.0, 1.0, 2.0, 3.0], [0.0] * 4) for i in range(1, 21)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = diagnose_informativeness(panel_of(subs), n_permutations=99)
+        assert not diag.applicable
+        assert np.isnan(diag.spearman_rho) and np.isnan(diag.spearman_pvalue)
+        assert np.isnan(diag.ag_hazard_ratio) and not diag.ag_converged
 
     def test_negative_permutation_count_rejected(self):
         panel = simulate_panel(ScenarioConfig(family="joint_model", weibull_scale=0.3, n_subjects=20), 58)

@@ -11,10 +11,10 @@ from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError, ValidationError
 from visitsim.harness import StudyConfig, _replication
-from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta,
-                               _trust_region_step, fit_joint, gauss_hermite, joint_loglik, recurrent_frailty_loglik,
-                               subject_log_contributions)
+from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta, fit_joint,
+                               gauss_hermite, joint_loglik, recurrent_frailty_loglik, subject_log_contributions)
 from visitsim.lmm import Adjustment, fit_lmm, lmm_loglik
+from visitsim.survfit import _trust_region_step
 
 
 def preset(name):

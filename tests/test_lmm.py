@@ -316,12 +316,15 @@ def test_profile_search_finds_scipys_root(name):
 
 
 def test_profile_search_climbs_where_the_profile_is_convex():
-    # with sigma_v2 = 0.01, Newton's first step from log rho = 0 lands left of the peak, where
-    # the profile is convex; the search must still climb to the peak
+    # with sigma_v2 = 0.01, on reps 1, 5 and 6 for each model, Newton's first step from log rho = 0
+    # lands left of the peak, where the profile is convex; the trust-region search must still
+    # climb to the peak
     cfg = dataclasses.replace(preset("jm_g0_l100"), sigma_v2=0.01)
-    panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    profile = _Profile(design_matrix(panel, Adjustment.NONE), panel)
-    _, slope, curvature = profile.parts([0.0])
-    first_point = -slope[0] / curvature[0, 0]
-    assert profile.parts([first_point])[2][0, 0] > 0.0
-    assert abs(profile.argmin() - interior_root(profile)) <= 1e-10
+    for rep in (1, 5, 6):
+        panel = simulate_panel(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
+        for adjustment in Adjustment:
+            profile = _Profile(design_matrix(panel, adjustment), panel)
+            _, slope, curvature = profile.parts([0.0])
+            first_point = -slope[0] / curvature[0, 0]
+            assert profile.parts([first_point])[2][0, 0] > 0.0, (rep, adjustment)
+            assert abs(profile.argmin() - interior_root(profile)) <= 1e-10, (rep, adjustment)
