@@ -27,8 +27,8 @@ from . import __version__
 from .dgm import CONFIG_SCHEMA_HELP, ScenarioConfig, parse_scenario_text, simulate_panel, with_seed
 from .domain import MODEL_LABELS, read_panel_csv, write_atomic, write_panel_csv
 from .errors import ConfigError, EstimationError, ValidationError, VisitsimError
-from .harness import (EstimatesTable, StudyConfig, describe_datasets, diagnose_informativeness,
-                      fit_model, run_study, summarize)
+from .harness import (_MODEL_PARAMS, EstimatesTable, StudyConfig, describe_datasets,
+                      diagnose_informativeness, fit_model, run_study, summarize)
 from .jointfit import subject_log_contributions
 
 # the shipped presets: the names of the package's presets/*.cfg files
@@ -60,6 +60,9 @@ def _resolve_config_path(value: str):
 def _load_scenario(value: str, seed_override):
     path, data = _resolve_config_path(value)
     config, truths = parse_scenario_text(data.decode(), source=path)
+    unknown = sorted(set(truths).difference(*_MODEL_PARAMS.values()))
+    if unknown:
+        raise ConfigError(f"{path}: [truth] key(s) {', '.join(map(repr, unknown))} name no parameter of any model")
     config = with_seed(config, seed_override)
     sha = hashlib.sha256(data).hexdigest()
     return config, truths, sha
@@ -133,19 +136,20 @@ def _cmd_run_study(args) -> int:
         threads=args.threads,
         gh_order=args.gh_order,
     )
-    table = run_study(study)
     os.makedirs(args.out_dir, exist_ok=True)
-    est_path = os.path.join(args.out_dir, "estimates.csv")
-    perf_path = os.path.join(args.out_dir, "performance.csv")
+    table, desc = run_study(study)
+    est_path, perf_path, desc_path = (os.path.join(args.out_dir, f"{name}.csv")
+                                      for name in ("estimates", "performance", "descriptives"))
     table.write_csv(est_path)
     perf = summarize(table, truths)
     perf.write_csv(perf_path)
-    _write_manifest(args.out_dir, "run-study", sha, config, config.seed, [est_path, perf_path],
+    write_atomic(desc_path, desc.to_csv_text())
+    _write_manifest(args.out_dir, "run-study", sha, config, config.seed, [est_path, perf_path, desc_path],
                     extra={"models": list(models), "replications": reps, "gh_order": study.gh_order,
                            "truths": truths})
     n_conv = int(table.converged.sum())
-    print(f"{config.label}: {reps} replications x {len(models)} models -> {est_path}, {perf_path} "
-          f"({n_conv}/{len(table)} parameter rows from converged fits)")
+    print(f"{config.label}: {reps} replications x {len(models)} models -> {est_path}, {perf_path}, "
+          f"{desc_path} ({n_conv}/{len(table)} parameter rows from converged fits)")
     return EXIT_OK
 
 
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_quadrature(p):
         p.add_argument("--gh-order", type=int, default=25,
-                       help="nodes of model A's adaptive Gauss-Hermite rule, at least 3 (default 25)")
+                       help="nodes of model A's adaptive Gauss-Hermite rule, 3 to 200 (default 25)")
 
     p = sub.add_parser("simulate", help="generate one panel CSV from a scenario config",
                        epilog=CONFIG_SCHEMA_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -267,7 +271,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:  # an OSError names its path
         print(f"visitsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EstimationError, np.linalg.LinAlgError, FloatingPointError) as exc:

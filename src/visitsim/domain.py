@@ -179,7 +179,10 @@ def write_atomic(path, data: str) -> None:
     """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             umask = os.umask(0)  # the umask can only be read by setting it
@@ -284,6 +287,7 @@ class FitResult:
             "loglik": None if self.loglik is None else float(self.loglik),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
+            "message": self.message,
         }
 
     def write_json(self, path) -> None:

@@ -153,23 +153,37 @@ def fit_model(panel: PanelDataset, label: str, gh_order: int = 25) -> FitResult:
     return fit_lmm(panel, Adjustment(label))
 
 
-def _replication(study: StudyConfig, rep: int) -> list[FitResult | None]:
-    """Replication ``rep``'s fits in ``study.models`` order; None where a fit or the simulation raised."""
+def _replication(scenario: ScenarioConfig, models: tuple[str, ...], gh_order: int | None, rep: int):
+    """Replication ``rep`` as (fits in ``models`` order, None where one raised; sample; error).
+
+    ``sample`` is the panel's row count, per-subject visit counts and observed
+    gaps.  If the simulation raised, fits and sample are None and ``error`` names it."""
     try:
-        panel = simulate_panel(study.scenario, np.random.SeedSequence(study.scenario.seed, spawn_key=(rep,)))
-    except (ValidationError, ValueError, ArithmeticError):
-        return [None] * len(study.models)
+        panel = simulate_panel(scenario, np.random.SeedSequence(scenario.seed, spawn_key=(rep,)))
+    except (ValidationError, ValueError, ArithmeticError) as exc:
+        return [None] * len(models), None, f"{type(exc).__name__}: {exc}"
     fits = []
-    for label in study.models:
+    for label in models:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fits.append(fit_model(panel, label, study.gh_order))
+                fits.append(fit_model(panel, label, gh_order))
         except (EstimationError, ValueError, ArithmeticError):
             # numeric failure of one fit (LinAlgError is a ValueError, FloatingPointError an
             # ArithmeticError): record this model as not converged and go on with the study
             fits.append(None)
-    return fits
+    return fits, (panel.n_rows, panel.counts, panel.gaps[panel.observed]), None
+
+
+def _replications(scenario: ScenarioConfig, models: tuple[str, ...], gh_order: int | None, reps: int,
+                  threads: int):
+    """Yield ``_replication``'s record of replications 1..``reps`` in order, run on ``threads`` processes."""
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if threads > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=threads))
+            mapper = functools.partial(pool.map, chunksize=max(1, reps // (8 * threads)))
+        yield from mapper(functools.partial(_replication, scenario, models, gh_order), range(1, reps + 1))
 
 
 def _available_cpus() -> int:
@@ -179,30 +193,33 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_study(study: StudyConfig) -> EstimatesTable:
+# what run_study returns: the EstimatesTable and the DatasetDescription of the panels it simulated
+StudyResult = collections.namedtuple("StudyResult", ("estimates", "descriptives"))
+
+
+def run_study(study: StudyConfig) -> StudyResult:
     """Simulate and fit K replications; failures are recorded, never fatal.
 
     Fits are read in replication order, however the worker pool schedules
-    them, so the table is deterministic given the scenario's seed.
+    them, so the table is deterministic given the scenario's seed.  The
+    descriptives pool the panels that could be simulated.
     """
-    threads = study.threads or _available_cpus()
     k = study.replications
     names = np.array([(label, name) for label in study.models for name in _MODEL_PARAMS[label]])
     cols = {label: names[:, 0] == label for label in study.models}
     est, se = np.full((2, k, len(names)), np.nan)
     converged = np.zeros((k, len(names)), dtype=bool)
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if threads > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=threads))
-            mapper = functools.partial(pool.map, chunksize=max(1, k // (8 * threads)))
-        for row, fits in enumerate(mapper(_replication, [study] * k, range(1, k + 1))):
-            for label, fit in zip(study.models, fits):
-                if fit is not None and fit.converged:
-                    at = (row, cols[label])
-                    est[at], se[at], converged[at] = fit.estimates, fit.std_errors, True
-    return EstimatesTable(study.scenario.label, np.repeat(np.arange(1, k + 1), len(names)),
-                          *np.tile(names.T, k), est.ravel(), se.ravel(), converged.ravel())
+    samples = []
+    records = _replications(study.scenario, study.models, study.gh_order, k, study.threads or _available_cpus())
+    for row, (fits, sample, _) in enumerate(records):
+        for label, fit in zip(study.models, fits):
+            if fit is not None and fit.converged:
+                at = (row, cols[label])
+                est[at], se[at], converged[at] = fit.estimates, fit.std_errors, True
+        samples.append(sample)
+    table = EstimatesTable(study.scenario.label, np.repeat(np.arange(1, k + 1), len(names)),
+                           *np.tile(names.T, k), est.ravel(), se.ravel(), converged.ravel())
+    return StudyResult(table, _description(study.scenario.label, [s for s in samples if s is not None]))
 
 
 # --- performance measures ----------------------------------------------------
@@ -318,30 +335,31 @@ class DatasetDescription:
         return buf.getvalue()
 
 
-def describe_datasets(scenario: ScenarioConfig, reps: int) -> DatasetDescription:
-    """Table-style descriptives over ``reps`` simulated datasets.
+def _description(label: str, samples: list) -> DatasetDescription:
+    """Descriptives of ``samples``, each a panel's row count, visit counts and observed gaps, pooled."""
+    rows = [sample[0] for sample in samples]
+    counts, gaps = (np.concatenate([sample[i] for sample in samples] or [np.empty(0)]) for i in (1, 2))
+    (r1, r2, r3), (c1, c2, c3), (g1, g2, g3) = (
+        np.percentile(values, [25, 50, 75]) if len(values) else np.full(3, np.nan) for values in (rows, counts, gaps))
+    return DatasetDescription(scenario=label, n_datasets=len(samples),
+                              rows_median=float(r2), rows_iqi=(float(r1), float(r3)),
+                              measurements_median=float(c2), measurements_iqi=(float(c1), float(c3)),
+                              gap_median=float(g2), gap_iqi=(float(g1), float(g3)))
 
-    Total rows are summarised across datasets; per-subject measurement counts
-    and observed gap times are pooled over all datasets.
+
+def describe_datasets(scenario: ScenarioConfig, reps: int) -> DatasetDescription:
+    """Table-style descriptives over ``reps`` simulated datasets, the panels a study of K = ``reps`` fits.
+
+    A panel that cannot be simulated raises ValidationError naming its replication.
     """
     if reps < 1:
         raise ValidationError("describe_datasets needs reps >= 1")
-    rows, counts, gaps = [], [], []
-    for k in range(1, reps + 1):
-        panel = simulate_panel(scenario, np.random.SeedSequence(scenario.seed, spawn_key=(k,)))
-        rows.append(panel.n_rows)
-        counts.extend(panel.counts)
-        gaps.extend(panel.gaps[panel.observed])
-    rows_q = np.percentile(rows, [25, 50, 75])
-    counts_q = np.percentile(counts, [25, 50, 75])
-    gaps_q = (np.percentile(gaps, [25, 50, 75]) if gaps else np.array([np.nan] * 3))
-    return DatasetDescription(
-        scenario=scenario.label,
-        n_datasets=reps,
-        rows_median=float(rows_q[1]), rows_iqi=(float(rows_q[0]), float(rows_q[2])),
-        measurements_median=float(counts_q[1]), measurements_iqi=(float(counts_q[0]), float(counts_q[2])),
-        gap_median=float(gaps_q[1]), gap_iqi=(float(gaps_q[0]), float(gaps_q[2])),
-    )
+    samples = []
+    for rep, (_, sample, error) in enumerate(_replications(scenario, (), None, reps, threads=1), start=1):
+        if sample is None:
+            raise ValidationError(f"{scenario.label}: replication {rep} could not be simulated: {error}")
+        samples.append(sample)
+    return _description(scenario.label, samples)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ _MODE_MAX_ITER = 80
 _U_BOUND = 60.0
 GRAD_TOL = 1e-6   # the fit's score tolerance
 _LOWER = np.tril_indices(10, -1)
+# keeps hermgauss's order x order companion matrix small (order 100000 would ask for 74.5 GiB)
+MAX_GH_ORDER = 200
 
 
 @functools.lru_cache
@@ -59,6 +61,8 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss-Hermite rule for N(0, 1), computed once and read-only."""
     if order < 3:
         raise ValidationError(f"quadrature order must be >= 3, got {order}")
+    if order > MAX_GH_ORDER:
+        raise ValidationError(f"quadrature order must be <= {MAX_GH_ORDER}, got {order}")
     x, w = np.polynomial.hermite.hermgauss(order)
     nodes, weights = x * np.sqrt(2.0), w / np.sqrt(np.pi)
     nodes.flags.writeable = weights.flags.writeable = False

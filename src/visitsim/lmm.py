@@ -212,17 +212,25 @@ def _fit_result(label: str, names, estimates: np.ndarray, fval: float, grad: np.
     finite diagonal.  Its standard errors are then sqrt of that diagonal
     times ``jacobian``, the derivative of each reported parameter with
     respect to the optimised one it is a function of (delta method).  The
-    message is ``reason``, plus max|grad| if the fit did not converge.
+    message is ``reason``, plus max|grad| and the rule that failed if the
+    fit did not converge.
     """
     max_grad = np.max(np.abs(grad))
-    ses = None
-    if np.isfinite(fval) and max_grad < 1e-4:
+    ses, failed = None, None
+    if not np.isfinite(fval):
+        failed = "log likelihood not finite"
+    elif not max_grad < 1e-4:
+        failed = "max|grad| not below 1e-4"
+    else:
         try:
             d = np.diag(np.linalg.inv(information))
+        except np.linalg.LinAlgError:
+            failed = "information singular"
+        else:
             if np.all(d > 0) and np.all(np.isfinite(d)):
                 ses = np.sqrt(d) * jacobian
-        except np.linalg.LinAlgError:
-            pass
+            else:
+                failed = "inverse information has a diagonal entry not positive and finite"
     converged = ses is not None
     return FitResult(
         model_label=label,
@@ -232,7 +240,7 @@ def _fit_result(label: str, names, estimates: np.ndarray, fval: float, grad: np.
         loglik=float(-fval),
         converged=converged,
         iterations=int(iterations),
-        message=reason if converged else f"{reason}; max|grad|={max_grad:.2e}",
+        message=reason if converged else f"{reason}; max|grad|={max_grad:.2e}; {failed}",
     )
 
 

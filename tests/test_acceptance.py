@@ -16,8 +16,7 @@ import scipy.stats
 
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, draw_weibull_gap, parse_scenario_text, simulate_panel
-from visitsim.harness import (EstimatesTable, StudyConfig, describe_datasets, run_study,
-                              summarize)
+from visitsim.harness import EstimatesTable, StudyConfig, run_study, summarize
 from visitsim.iivw import fit_wgee
 from visitsim.jointfit import joint_loglik, recurrent_frailty_loglik
 from visitsim.lmm import Adjustment, design_matrix, lmm_loglik
@@ -60,18 +59,18 @@ def load_preset(name: str) -> tuple[ScenarioConfig, dict]:
 
 @pytest.fixture(scope="session")
 def studies():
-    """tag -> (scenario, truths, EstimatesTable) for every shipped scenario."""
+    """tag -> (scenario, truths, EstimatesTable, DatasetDescription) for every shipped scenario."""
     out = {}
     for name in PRESETS:
         scenario, truths = load_preset(name)
-        table = run_study(StudyConfig(scenario=scenario, models=("A", "B", "C", "D", "E"),
-                                      replications=K_REPS, threads=THREADS))
-        out[name] = (scenario, truths, table)
+        table, desc = run_study(StudyConfig(scenario=scenario, models=("A", "B", "C", "D", "E"),
+                                            replications=K_REPS, threads=THREADS))
+        out[name] = (scenario, truths, table, desc)
     return out
 
 
 def perf(studies, name):
-    scenario, truths, table = studies[name]
+    scenario, truths, table, _ = studies[name]
     return summarize(table, truths)
 
 
@@ -184,7 +183,7 @@ class TestCriterion3DirectionOfBiasOrdering:
         for name in JM_G15:
             table = perf(studies, name)
             rows = {m: table.lookup(m, "alpha1") for m in "ABCDE"}
-            _, truths, est = studies[name]
+            _, truths, est, _ = studies[name]
             for model in "BCDE":
                 b, se = controlled_bias(est, model, "alpha1", truths["alpha1"], control_variates[name])
                 bias[model].append(b)
@@ -239,7 +238,7 @@ class TestCriterion4RegularVisits:
         if not zscore(b1) < -Z_CRIT:
             failures.append(f"model B bias(alpha1)={b1.bias:+.4f} not significantly negative "
                             f"(z={zscore(b1):+.2f})")
-        scenario, _, est = studies[name]
+        scenario, _, est, _ = studies[name]
         # model A's converged fits, in replication order, one array per parameter
         fit_a = {param: est.est[(est.model == "A") & (est.param == param) & est.converged]
                  for param in ("gamma", "sigma_u2", "sigma_v2", "p", "lambda")}
@@ -265,11 +264,12 @@ class TestCriterion4RegularVisits:
 
 
 class TestCriterion5Table1Descriptives:
-    def test_criterion(self):
+    def test_criterion(self, studies):
         failures = []
         for name, ((r_lo, r_hi), (m_lo, m_hi), (g_lo, g_hi)) in TABLE1.items():
-            scenario, _ = load_preset(name)
-            desc = describe_datasets(scenario, reps=K_REPS)
+            *_, desc = studies[name]
+            if desc.n_datasets != K_REPS:
+                failures.append(f"{name}: {desc.n_datasets} of {K_REPS} panels described")
             if not r_lo <= desc.rows_median <= r_hi:
                 failures.append(f"{name}: median rows {desc.rows_median:.0f} outside [{r_lo}, {r_hi}]")
             if not m_lo <= desc.measurements_median <= m_hi:
@@ -355,7 +355,7 @@ class TestCriterion8ConvergenceRates:
             total = converged = 0
             worst = 1.0
             for name in PRESETS:
-                _, _, table = studies[name]
+                _, _, table, _ = studies[name]
                 # every model has an alpha0, so this is one entry per replication
                 fits = table.converged[(table.model == model) & (table.param == "alpha0")]
                 rate = int(fits.sum()) / len(fits)
@@ -379,7 +379,7 @@ class TestCriterion9Determinism:
         for threads in (1, 4, THREADS):
             study = StudyConfig(scenario=scenario, models=("A", "B", "C", "D", "E"),
                                 replications=6, threads=threads)
-            texts[threads] = run_study(study).to_csv_text()
+            texts[threads] = run_study(study).estimates.to_csv_text()
         base = texts[1]
         for threads, text in texts.items():
             if text != base:

@@ -133,11 +133,20 @@ class TestBadNumericOptions:
          "quadrature order must be >= 3"),
         (["diagnose", "--panel", "{panel}", "--permutations", "-1", "--out", "{out}"],
          "permutation count must be >= 0"),
+        (["run-study", "--config", "{cfg}", "--reps", "3", "--models", "A", "--threads", "1",
+          "--gh-order", "100000", "--out-dir", "{out}"], "quadrature order must be <= 200, got 100000"),
+        (["fit", "--panel", "{panel}", "--model", "A", "--gh-order", "201", "--out", "{out}"],
+         "quadrature order must be <= 200, got 201"),
     ], ids=["run-study-gh-order", "run-study-threads-negative", "run-study-threads-zero",
-            "fit-gh-order", "diagnose-permutations"])
-    def test_rejected_before_any_output(self, cfg_path, tmp_path, capsys, argv, message):
+            "fit-gh-order", "diagnose-permutations", "run-study-gh-order-too-high", "fit-gh-order-too-high"])
+    def test_rejected_before_any_output(self, cfg_path, tmp_path, capsys, monkeypatch, argv, message):
         panel = tmp_path / "panel.csv"
         assert main(["simulate", "--config", cfg_path, "--out", str(panel)]) == 0
+
+        def hermgauss(order):  # an order out of range must be refused before its rule is computed
+            raise AssertionError(f"hermgauss({order}) was called")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", hermgauss)
         out = tmp_path / "out"
         capsys.readouterr()
         argv = [a.format(cfg=cfg_path, panel=panel, out=out) for a in argv]
@@ -148,7 +157,57 @@ class TestBadNumericOptions:
         assert not out.exists()
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "describe-out-in-missing-directory",
+                                      "fit-panel-missing", "out-dir-is-a-file"])
+    def test_one_line_error_and_exit_1(self, cfg_path, tmp_path, capsys, monkeypatch, case):
+        from visitsim import harness
+
+        def simulate_panel(scenario, seed):
+            raise AssertionError("a panel was simulated")
+
+        path = tmp_path / "missing" / "d.csv"
+        if case == "config-is-a-directory":
+            path = tmp_path / "configs"
+            path.mkdir()
+            argv = ["run-study", "--config", str(path), "--reps", "2", "--out-dir", str(tmp_path / "out")]
+        elif case == "describe-out-in-missing-directory":
+            argv = ["describe", "--config", cfg_path, "--reps", "2", "--out", str(path)]
+        elif case == "fit-panel-missing":
+            argv = ["fit", "--panel", str(path), "--model", "D", "--out", str(tmp_path / "fit.json")]
+        else:
+            path = tmp_path / "taken"
+            path.write_text("")
+            argv = ["run-study", "--config", cfg_path, "--reps", "2", "--threads", "1", "--out-dir", str(path)]
+            monkeypatch.setattr(harness, "simulate_panel", simulate_panel)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("visitsim: error: [Errno ") and str(path) in err
+        assert err.count("\n") == 1
+
+
+class TestTruthKeys:
+    def test_unknown_truth_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(CFG + "\n[truth]\nalpha1 = 1.0\nalpha_1 = 2.0\n")
+        out_dir = tmp_path / "study"
+        assert main(["run-study", "--config", str(cfg), "--reps", "2", "--models", "D",
+                     "--threads", "1", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (f"visitsim: error: {cfg}: [truth] key(s) 'alpha_1' "
+                                           f"name no parameter of any model\n")
+        assert not out_dir.exists()
+
+
 class TestRunStudyCommand:
+    def test_descriptives_are_describes_bytes(self, cfg_path, tmp_path):
+        out_dir = tmp_path / "study"
+        assert main(["run-study", "--config", cfg_path, "--reps", "3", "--models", "D",
+                     "--threads", "1", "--out-dir", str(out_dir)]) == 0
+        assert main(["describe", "--config", cfg_path, "--reps", "3", "--out", str(tmp_path / "d.csv")]) == 0
+        assert (out_dir / "descriptives.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["outputs"] == ["descriptives.csv", "estimates.csv", "performance.csv"]
+
     def test_gaps_that_do_not_advance_the_clock(self, tmp_path):
         # this scenario draws Weibull gaps that round to zero against the visit time;
         # about 300k rows per panel, with observed gaps down to 1e-22
@@ -180,7 +239,8 @@ class TestRunStudyCommand:
             rc = main(["run-study", "--config", cfg_path, "--reps", "2", "--models", "D,E",
                        "--out-dir", str(out_dir), "--threads", "1"])
         assert rc == 0
-        assert sorted(os.listdir(out_dir)) == ["estimates.csv", "manifest.json", "performance.csv"]
+        assert sorted(os.listdir(out_dir)) == ["descriptives.csv", "estimates.csv", "manifest.json",
+                                               "performance.csv"]
         perf = [line.split(",") for line in (out_dir / "performance.csv").read_text().splitlines()[1:]]
         d_rows = [row for row in perf if row[1] == "D"]
         assert len(d_rows) == 5

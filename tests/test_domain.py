@@ -361,7 +361,7 @@ class TestDerived:
 class TestFitResult:
     def test_json_roundtrip(self, tmp_path):
         fr = FitResult("D", ("alpha0", "alpha1"), np.array([1.0, 2.0]), np.array([0.1, 0.2]),
-                       loglik=-12.5, converged=True, iterations=7)
+                       loglik=-12.5, converged=True, iterations=7, message="profile search")
         path = tmp_path / "fit.json"
         fr.write_json(path)
         import json
@@ -370,6 +370,7 @@ class TestFitResult:
         assert data["model"] == "D"
         assert data["params"] == {"alpha0": {"est": 1.0, "se": 0.1}, "alpha1": {"est": 2.0, "se": 0.2}}
         assert (data["loglik"], data["converged"], data["iterations"]) == (-12.5, True, 7)
+        assert data["message"] == "profile search"
 
     def test_negative_se_rejected_when_converged(self):
         with pytest.raises(ValidationError):

@@ -64,9 +64,9 @@ DIAGNOSE_SHA256 = {
 }
 
 FIT_SHA256 = {
-    "fit_A.json": "d26a00a4a69207f505ffe0f748b591298eb7cac76a9113a998187622d3adbf2f",
+    "fit_A.json": "99ae0c7f318ae2fb5494a8ffdd9bb7bee8eaa6e7d183b35594b2f25ae5e780f0",
     "loglik_A.csv": "7274ac2645ed6440ce7f23a523413f059dc5ba8249f604821d3d62e82321f522",
-    "fit_C.json": "60c651e041e874efdaa3dca4f1e0be6a1da5d9d2b1f817877884b813a38212e8",
+    "fit_C.json": "0896b99cd11cb69a2fb536b2b90724725ee88c85c5f870891ac7c86ae7dfa84a",
 }
 
 

@@ -52,7 +52,7 @@ class TestFitModel:
 class TestRunStudy:
     def test_row_accounting(self):
         # K=2, models={D}: exactly 2 * |params(D)| rows
-        table = run_study(small_study(models=("D",), reps=2))
+        table = run_study(small_study(models=("D",), reps=2)).estimates
         assert len(table) == 2 * 5
         assert set(table.model.tolist()) == {"D"}
         assert table.rep.tolist() == [1] * 5 + [2] * 5
@@ -60,22 +60,22 @@ class TestRunStudy:
 
     def test_determinism_across_runs(self):
         study = small_study(models=("D", "E"), reps=3)
-        a = run_study(study).to_csv_text()
-        b = run_study(study).to_csv_text()
+        a = run_study(study).estimates.to_csv_text()
+        b = run_study(study).estimates.to_csv_text()
         assert a == b
 
     def test_determinism_across_thread_counts(self):
-        base = dict(models=("D", "E"), reps=4)
-        texts = []
-        for threads in (1, 2):
-            cfg = small_study(**base)
-            study = StudyConfig(scenario=cfg.scenario, models=cfg.models,
-                                replications=cfg.replications, threads=threads)
-            texts.append(run_study(study).to_csv_text())
-        assert texts[0] == texts[1]
+        # 5 replications are not a multiple of any chunk size of the pool
+        base = small_study(models=("D", "E"), reps=5)
+        results = [run_study(StudyConfig(scenario=base.scenario, models=base.models,
+                                         replications=base.replications, threads=threads))
+                   for threads in (1, 2, 3)]
+        assert len({result.estimates.to_csv_text() for result in results}) == 1
+        assert all(result.descriptives == results[0].descriptives for result in results)
+        assert results[0].descriptives == describe_datasets(base.scenario, reps=5)
 
     def test_csv_roundtrip(self, tmp_path):
-        table = run_study(small_study(models=("D",), reps=2))
+        table = run_study(small_study(models=("D",), reps=2)).estimates
         path = tmp_path / "estimates.csv"
         table.write_csv(path)
         assert path.read_text().splitlines()[0] == "scenario,rep,model,param,est,se,converged"
@@ -88,7 +88,7 @@ class TestRunStudy:
                              ids=["LinAlgError", "ValueError", "FloatingPointError"])
     def test_failed_fit_recorded_not_fatal(self, monkeypatch, error):
         study = small_study(models=("D", "E"), reps=3)
-        expected = run_study(study).to_csv_text().splitlines()
+        expected = run_study(study).estimates.to_csv_text().splitlines()
         real_fit_model = harness.fit_model
         calls = []
 
@@ -99,7 +99,7 @@ class TestRunStudy:
             return real_fit_model(panel, label, gh_order)
 
         monkeypatch.setattr(harness, "fit_model", fit_model)
-        lines = run_study(study).to_csv_text().splitlines()
+        lines = run_study(study).estimates.to_csv_text().splitlines()
         assert len(calls) == 6
         # the failed model's rows are empty and not converged; every other row is unchanged
         assert len(lines) == len(expected)
@@ -114,7 +114,7 @@ class TestRunStudy:
                              ids=["ValidationError", "ValueError", "FloatingPointError"])
     def test_failed_simulation_recorded_not_fatal(self, monkeypatch, error):
         study = small_study(models=("D", "E"), reps=3)
-        expected = run_study(study).to_csv_text().splitlines()
+        expected = run_study(study).estimates.to_csv_text().splitlines()
         real_simulate_panel = harness.simulate_panel
 
         def simulate_panel(scenario, seed):
@@ -123,7 +123,7 @@ class TestRunStudy:
             return real_simulate_panel(scenario, seed)
 
         monkeypatch.setattr(harness, "simulate_panel", simulate_panel)
-        lines = run_study(study).to_csv_text().splitlines()
+        lines = run_study(study).estimates.to_csv_text().splitlines()
         # every model of replication 2 is empty and not converged; every other row is unchanged
         tag = study.scenario.label
         assert len(lines) == len(expected)
@@ -138,7 +138,7 @@ class TestRunStudy:
     def test_failed_root_search_recorded_not_fatal(self, monkeypatch):
         # the profile search stopped after one iteration: every B and D fit fails, the study does not
         monkeypatch.setattr(survfit, "MAX_ITER", 1)
-        table = run_study(small_study(models=("B", "D"), reps=2))
+        table = run_study(small_study(models=("B", "D"), reps=2)).estimates
         assert len(table) == 2 * (6 + 5)
         assert not table.converged.any()
         assert np.isnan(table.est).all() and np.isnan(table.se).all()
@@ -158,7 +158,8 @@ class TestRunStudy:
         for module in (lmm, jointfit):
             monkeypatch.setattr(module, "_lmm_estimates", counted)
         monkeypatch.setattr(survfit._CoxData, "from_panel", classmethod(counted_from_panel))
-        fits = harness._replication(small_study(models=MODEL_LABELS), 1)
+        study = small_study(models=MODEL_LABELS)
+        fits, _, _ = harness._replication(study.scenario, study.models, study.gh_order, 1)
         # B, C and one D for both A's start and D: four before they were shared
         assert sorted(fitted) == ["B", "C", "D"]
         # one gap-sorted Cox data set for A's Weibull start and E's weight model
@@ -169,8 +170,9 @@ class TestRunStudy:
                     fit.converged, fit.iterations, fit.message)
 
         # the same fits as each model fitted in a replication of its own
-        assert [bits(fit) for fit in fits] == [bits(fit) for label in MODEL_LABELS
-                                               for fit in harness._replication(small_study(models=(label,)), 1)]
+        assert [bits(fit) for fit in fits] == [
+            bits(fit) for label in MODEL_LABELS
+            for fit in harness._replication(study.scenario, (label,), study.gh_order, 1)[0]]
 
     @pytest.mark.parametrize("affinity, cpu_count", [({0}, 8), (None, 1)],
                              ids=["affinity of one CPU", "no affinity, one CPU"])
@@ -187,7 +189,7 @@ class TestRunStudy:
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", no_pool)
         study = StudyConfig(scenario=small_study().scenario, models=("D",), replications=2)
         assert study.threads is None
-        assert len(run_study(study)) == 2 * 5
+        assert len(run_study(study).estimates) == 2 * 5
 
     @pytest.mark.parametrize("row, message", [
         ("s,1,D,alpha1", "expected 7 fields, got 4"),
@@ -342,6 +344,25 @@ class TestSummarize:
 
 
 class TestDescribe:
+    def test_failed_simulation(self, monkeypatch):
+        # a study describes the panels it could simulate; describe refuses, naming the replication
+        study = small_study(models=("D",), reps=3)
+        real_simulate_panel = harness.simulate_panel
+        simulated = []
+
+        def simulate_panel(scenario, seed):
+            if seed.spawn_key == (2,):
+                raise ValueError("scale must be > 0")
+            simulated.append(real_simulate_panel(scenario, seed))
+            return simulated[-1]
+
+        monkeypatch.setattr(harness, "simulate_panel", simulate_panel)
+        desc = run_study(study).descriptives
+        assert desc.n_datasets == 2
+        assert desc.rows_median == np.median([panel.n_rows for panel in simulated])
+        with pytest.raises(ValidationError, match="replication 2 could not be simulated: ValueError: scale must be > 0"):
+            describe_datasets(study.scenario, reps=3)
+
     def test_degenerate_scenario_single_row_each(self):
         # almost-zero visit intensity: every subject contributes only the baseline row
         cfg = ScenarioConfig(family="joint_model", weibull_scale=1e-9, gamma=0.0,

@@ -10,7 +10,7 @@ from visitsim import jointfit, lmm
 from visitsim.cli import PRESETS
 from visitsim.dgm import ScenarioConfig, parse_scenario_text, simulate_panel
 from visitsim.errors import EstimationError, ValidationError
-from visitsim.harness import StudyConfig, _replication
+from visitsim.harness import _replication
 from visitsim.jointfit import (PARAM_NAMES, _JointData, _evaluate, _natural, _starting_theta, _theta, fit_joint,
                                gauss_hermite, joint_loglik, recurrent_frailty_loglik, subject_log_contributions)
 from visitsim.lmm import Adjustment, fit_lmm, lmm_loglik
@@ -327,8 +327,7 @@ def test_failed_trust_region_is_a_failed_fit_not_a_failed_study(monkeypatch, inf
     else:
         fit = fit_joint(panel)
         assert not fit.converged and fit.message.startswith("optimizer: no predicted gain")
-    study = StudyConfig(scenario=config, models=("A", "D"), replications=2)
-    fit_a, fit_d = _replication(study, 1)
+    (fit_a, fit_d), _, _ = _replication(config, ("A", "D"), 25, 1)
     assert fit_a is None or not fit_a.converged
     assert fit_d.converged
 

@@ -259,19 +259,25 @@ class TestConvergenceRule:
         return _fit_result("D", ("a", "b"), np.array([1.0, 2.0]), fval, np.array(grad), info,
                            self.JACOBIAN, 3, "profile search")
 
-    @pytest.mark.parametrize("case", [
-        {"fval": np.inf}, {"fval": np.nan}, {"grad": (2e-4, 0.0)},
-        {"info": np.array([[1.0, 1.0], [1.0, 1.0]])},   # singular
-        {"info": np.array([[1.0, 2.0], [2.0, 1.0]])},   # not positive definite
-    ], ids=["f-inf", "f-nan", "grad-2e-4", "singular", "indefinite"])
-    def test_not_converged(self, case):
+    @pytest.mark.parametrize("case, rule", [
+        ({"fval": np.inf}, "log likelihood not finite"),
+        ({"fval": np.nan}, "log likelihood not finite"),
+        ({"grad": (2e-4, 0.0)}, "max|grad| not below 1e-4"),
+        ({"grad": (np.nan, 0.0)}, "max|grad| not below 1e-4"),
+        ({"info": np.array([[1.0, 1.0], [1.0, 1.0]])}, "information singular"),
+        ({"info": np.array([[1.0, 2.0], [2.0, 1.0]])},   # not positive definite
+         "inverse information has a diagonal entry not positive and finite"),
+    ], ids=["f-inf", "f-nan", "grad-2e-4", "grad-nan", "singular", "indefinite"])
+    def test_not_converged(self, case, rule):
+        # the optimiser's stop comes first, max|grad| next and the rule that failed the fit last
         fit = self.result(**case)
         assert not fit.converged
         assert np.all(np.isnan(fit.std_errors))
         assert fit.message.startswith("profile search; max|grad|=")
+        assert fit.message.endswith(f"; {rule}")
 
     def test_gradient_in_message(self):
-        assert self.result(grad=(2e-4, 0.0)).message.endswith("max|grad|=2.00e-04")
+        assert self.result(grad=(2e-4, 0.0)).message == "profile search; max|grad|=2.00e-04; max|grad| not below 1e-4"
 
     def test_delta_method_standard_errors(self):
         fit = self.result()

@@ -267,7 +267,8 @@ def test_every_fit_runs_on_the_one_optimiser(monkeypatch):
     text = resources.files("visitsim").joinpath("presets/jm_g15_l030.cfg").read_text()
     study = harness.StudyConfig(scenario=parse_scenario_text(text, source="jm_g15_l030")[0],
                                 models=("A", "B", "C", "D", "E"), replications=2)
-    assert all(fit.converged for fit in harness._replication(study, 1))
+    fits, _, _ = harness._replication(study.scenario, study.models, study.gh_order, 1)
+    assert all(fit.converged for fit in fits)
     assert callers == {"fit_joint": 1, "fit_weibull_ph": 1, "argmin": 3, "fit_andersen_gill": 1}
     modules = (survfit, lmm, jointfit, iivw, harness)
     assert not [name for module in modules for name in vars(module) if "newton" in name.lower()]
